@@ -10,10 +10,7 @@
 
 #include "common/env.h"
 #include "common/schema.h"
-#include "parser/planner.h"
-#include "query/binder.h"
-#include "query/executor.h"
-#include "query/plan.h"
+#include "concurrency/snapshot.h"
 
 namespace dvms {
 namespace cluster {
@@ -51,18 +48,6 @@ bool ContainsCaseInsensitive(const std::string& haystack, const char* needle) {
     if (j == n) return true;
   }
   return false;
-}
-
-void CollectFromNames(const SelectStmt& stmt, std::vector<std::string>* out) {
-  for (const SelectCore& core : stmt.cores) {
-    for (const TableRef& ref : core.from) {
-      if (ref.subquery != nullptr) {
-        CollectFromNames(*ref.subquery, out);
-      } else {
-        out->push_back(ref.name);
-      }
-    }
-  }
 }
 
 /// How the routing layer treats a failed attempt. The taxonomy is the
@@ -1046,18 +1031,12 @@ Result<Table> ClusterClient::LocalClusterQuery(const QueryRequest& req) {
         "cluster: EXPLAIN over dvms_cluster is not supported");
   }
   // dvms_cluster is client-local state, not engine state: execute against
-  // an empty base view with the freshly built table overlaid, reusing the
-  // engine's own planner/binder/executor stack.
-  OverlaySnapshotView overlay(EmptyBaseView());
+  // an empty base view with the freshly built table overlaid, through the
+  // engine's own read helper.
+  OverlaySnapshotView overlay(EmptyBaseView(), EmptyBaseView());
   overlay.AddOverlay(kClusterRelation, BuildClusterTable());
-  Planner planner(&overlay);
-  DVMS_ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanSelect(req.select));
-  Binder binder(&overlay, &udfs_);
-  DVMS_RETURN_IF_ERROR(binder.Bind(plan.get()));
-  Executor exec(static_cast<const RelationSource*>(&overlay), &udfs_);
-  DVMS_ASSIGN_OR_RETURN(std::unique_ptr<NodeResult> result,
-                        exec.Execute(*plan));
-  return std::move(result->table);
+  return overlay.Execute(req.select, /*explain=*/false, /*analyze=*/false,
+                         &udfs_, ExecOptions());
 }
 
 }  // namespace cluster

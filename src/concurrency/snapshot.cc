@@ -1,7 +1,10 @@
 #include "concurrency/snapshot.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
+
+#include "parser/planner.h"
 
 namespace dvms {
 
@@ -58,6 +61,18 @@ Result<TablePtr> EngineSnapshotView::Read(const std::string& relation,
   return (*rel)->Read(version);
 }
 
+void CollectFromNames(const SelectStmt& select, std::vector<std::string>* out) {
+  for (const SelectCore& core : select.cores) {
+    for (const TableRef& ref : core.from) {
+      if (ref.subquery != nullptr) {
+        CollectFromNames(*ref.subquery, out);
+      } else {
+        out->push_back(ref.name);
+      }
+    }
+  }
+}
+
 void OverlaySnapshotView::AddOverlay(const std::string& name, Table table) {
   overlays_[IdentKey(name)] = MakeTablePtr(std::move(table));
 }
@@ -70,7 +85,7 @@ Result<Schema> OverlaySnapshotView::ResolveRelation(
     const std::string& name) const {
   auto it = overlays_.find(IdentKey(name));
   if (it != overlays_.end()) return it->second->schema();
-  return base_->ResolveRelation(name);
+  return base_schemas_->ResolveRelation(name);
 }
 
 Result<TablePtr> OverlaySnapshotView::Read(const std::string& relation,
@@ -78,10 +93,83 @@ Result<TablePtr> OverlaySnapshotView::Read(const std::string& relation,
   auto it = overlays_.find(IdentKey(relation));
   if (it != overlays_.end()) {
     // System relations have no history: every version ref resolves to the
-    // freshly built table (they are excluded from commits and snapshots).
+    // freshly built table.
     return it->second;
   }
-  return base_->Read(relation, version);
+  return base_rows_->Read(relation, version);
+}
+
+namespace {
+
+/// One-line operator annotation for the EXPLAIN report.
+std::string PlanNodeDetail(const PlanNode& node) {
+  switch (node.kind) {
+    case PlanKind::kScan:
+      return node.relation + node.version.ToString();
+    case PlanKind::kLimit:
+      return std::to_string(node.limit);
+    case PlanKind::kAlias:
+      return node.alias;
+    default:
+      return "";
+  }
+}
+
+}  // namespace
+
+Result<Table> OverlaySnapshotView::Execute(const SelectStmt& select,
+                                           bool explain, bool analyze,
+                                           const UdfRegistry* udfs,
+                                           ExecOptions opts) const {
+  Planner planner(this);
+  DVMS_ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanSelect(select));
+  Binder binder(this, udfs);
+  DVMS_RETURN_IF_ERROR(binder.Bind(plan.get()));
+  Executor exec(static_cast<const RelationSource*>(this), udfs);
+  if (!explain) {
+    DVMS_ASSIGN_OR_RETURN(std::unique_ptr<NodeResult> result,
+                          exec.Execute(*plan, opts));
+    return std::move(result->table);
+  }
+  Table report(Schema({{"operator", ValueType::kString},
+                       {"detail", ValueType::kString},
+                       {"depth", ValueType::kInt64},
+                       {"rows", ValueType::kInt64},
+                       {"morsels", ValueType::kInt64},
+                       {"self_us", ValueType::kInt64},
+                       {"total_us", ValueType::kInt64}}));
+  if (!analyze) {
+    // Plan-only: pre-order walk with NULL runtime columns.
+    std::function<void(const PlanNode&, int64_t)> walk =
+        [&](const PlanNode& node, int64_t depth) {
+          report.AppendUnchecked(
+              {Value::String(PlanKindToString(node.kind)),
+               Value::String(PlanNodeDetail(node)), Value::Int(depth),
+               Value::Null(), Value::Null(), Value::Null(), Value::Null()});
+          for (const PlanPtr& child : node.children) walk(*child, depth + 1);
+        };
+    walk(*plan, 0);
+    return report;
+  }
+  opts.analyze = true;
+  DVMS_ASSIGN_OR_RETURN(std::unique_ptr<NodeResult> result,
+                        exec.Execute(*plan, opts));
+  std::function<void(const NodeResult&, int64_t)> walk =
+      [&](const NodeResult& node, int64_t depth) {
+        int64_t children_us = 0;
+        for (const auto& child : node.children) children_us += child->exec_us;
+        int64_t self_us = node.exec_us - children_us;
+        if (self_us < 0) self_us = 0;
+        report.AppendUnchecked(
+            {Value::String(PlanKindToString(node.node->kind)),
+             Value::String(PlanNodeDetail(*node.node)), Value::Int(depth),
+             Value::Int(static_cast<int64_t>(node.table.num_rows())),
+             Value::Int(static_cast<int64_t>(node.morsels_used)),
+             Value::Int(self_us), Value::Int(node.exec_us)});
+        for (const auto& child : node.children) walk(*child, depth + 1);
+      };
+  walk(*result, 0);
+  return report;
 }
 
 uint64_t SnapshotManager::Publish(const Catalog& catalog) {
@@ -95,7 +183,6 @@ uint64_t SnapshotManager::Publish(const Catalog& catalog) {
     const VersionedTable* table = table_or.value();
     auto kind_or = catalog.KindOf(name);
     RelationKind kind = kind_or.ok() ? kind_or.value() : RelationKind::kBase;
-    if (kind == RelationKind::kSystem) continue;  // rebuilt per read
     std::string key = IdentKey(table->name());
 
     // Incremental reuse: an unchanged mutation epoch certifies the whole

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "parser/ast.h"
 #include "query/binder.h"
 #include "query/executor.h"
 #include "storage/catalog.h"
@@ -67,12 +68,20 @@ class EngineSnapshotView : public SchemaResolver, public RelationSource {
 
 using SnapshotPtr = std::shared_ptr<const EngineSnapshotView>;
 
-/// Read view layered over a base snapshot: per-read overlays (fresh system
-/// relations like dvms_metrics, built from thread-safe obs counters at read
-/// time) shadow the published snapshot without mutating it.
+/// Relation names in `select`'s FROM clauses, subqueries included: the
+/// relations a read may need overlaid.
+void CollectFromNames(const SelectStmt& select, std::vector<std::string>* out);
+
+/// Read view layered over a base schema resolver + relation source:
+/// per-read overlays (fresh system relations like dvms_metrics, built from
+/// thread-safe obs counters at read time) shadow the base without mutating
+/// it. The base is a published EngineSnapshotView for lock-free reads, or
+/// the live catalog for statements applied under the engine write lock.
 class OverlaySnapshotView : public SchemaResolver, public RelationSource {
  public:
-  explicit OverlaySnapshotView(const EngineSnapshotView* base) : base_(base) {}
+  OverlaySnapshotView(const SchemaResolver* base_schemas,
+                      const RelationSource* base_rows)
+      : base_schemas_(base_schemas), base_rows_(base_rows) {}
 
   /// Shadows `name` with a freshly built table for this read only.
   void AddOverlay(const std::string& name, Table table);
@@ -83,8 +92,16 @@ class OverlaySnapshotView : public SchemaResolver, public RelationSource {
   Result<TablePtr> Read(const std::string& relation,
                         const VersionRef& version) const override;
 
+  /// Plans, binds and executes `select` against this view. With `explain`
+  /// it returns the EXPLAIN report instead: one row per operator in
+  /// pre-order, whose runtime columns (rows/morsels/self_us/total_us) are
+  /// filled only under `analyze`, which executes the plan.
+  Result<Table> Execute(const SelectStmt& select, bool explain, bool analyze,
+                        const UdfRegistry* udfs, ExecOptions opts) const;
+
  private:
-  const EngineSnapshotView* base_;
+  const SchemaResolver* base_schemas_;
+  const RelationSource* base_rows_;
   std::unordered_map<std::string, TablePtr> overlays_;  // IdentKey
 };
 
@@ -104,8 +121,8 @@ class OverlaySnapshotView : public SchemaResolver, public RelationSource {
 /// free in the snapshot-invariant tests.
 class SnapshotManager {
  public:
-  /// Freezes `catalog` (skipping kSystem relations — those are rebuilt per
-  /// read from thread-safe obs state). Returns the now-current epoch.
+  /// Freezes `catalog`, named EXPLAIN reports (kSystem) included. Returns
+  /// the now-current epoch.
   uint64_t Publish(const Catalog& catalog);
 
   /// The latest published snapshot; null before the first Publish.

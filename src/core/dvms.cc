@@ -9,23 +9,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <limits>
 
 #include "common/env.h"
-#include "core/session.h"
 #include "parser/parser.h"
 #include "parser/planner.h"
 
 namespace dvms {
 
 namespace {
-
-constexpr char kMetricsRelation[] = "dvms_metrics";
-constexpr char kSpansRelation[] = "dvms_spans";
-constexpr char kGovernorRelation[] = "dvms_governor";
-constexpr char kReplicationRelation[] = "dvms_replication";
-constexpr char kStorageRelation[] = "dvms_storage";
 
 /// Space-probe backoff bounds: 1ms doubling to a 1s cap, so a mutation
 /// storm against a full disk costs at most one probe per second while
@@ -72,22 +64,6 @@ uint64_t EnvU64Or(const char* name, uint64_t fallback) {
     return fallback;
   }
   return static_cast<uint64_t>(v);
-}
-
-void CollectFromNames(const SelectStmt& stmt, std::vector<std::string>* out);
-
-void CollectFromNames(const SelectCore& core, std::vector<std::string>* out) {
-  for (const TableRef& ref : core.from) {
-    if (ref.subquery != nullptr) {
-      CollectFromNames(*ref.subquery, out);
-    } else {
-      out->push_back(ref.name);
-    }
-  }
-}
-
-void CollectFromNames(const SelectStmt& stmt, std::vector<std::string>* out) {
-  for (const SelectCore& core : stmt.cores) CollectFromNames(core, out);
 }
 
 Value DoubleOrNull(double v) {
@@ -152,20 +128,6 @@ struct MuLock {
   }
   std::lock_guard<std::recursive_mutex> lock;
 };
-
-/// One-line operator annotation for the EXPLAIN report.
-std::string PlanNodeDetail(const PlanNode& node) {
-  switch (node.kind) {
-    case PlanKind::kScan:
-      return node.relation + node.version.ToString();
-    case PlanKind::kLimit:
-      return std::to_string(node.limit);
-    case PlanKind::kAlias:
-      return node.alias;
-    default:
-      return "";
-  }
-}
 
 }  // namespace
 
@@ -310,34 +272,40 @@ Dvms::GovernedRequest::~GovernedRequest() {
     governor::InstallContext(prev_);
     // This runs after EndMutationUnit (rollback + obs::Restore) and while
     // mu_ is still held, so abort counters survive the rollback's metric
-    // rewind. gov_mu_ (a leaf lock) serializes the fold against concurrent
-    // snapshot readers folding theirs.
-    std::lock_guard<std::mutex> gov_lock(dvms_->gov_mu_);
-    GovernorStats& gs = dvms_->governor_stats_;
-    gs.checkpoints += ctx_.checkpoints();
-    if (ctx_.peak_bytes() > gs.peak_mem_bytes) {
-      gs.peak_mem_bytes = ctx_.peak_bytes();
-    }
-    switch (ctx_.abort_code()) {
-      case StatusCode::kDeadlineExceeded:
-        ++gs.deadline_aborts;
-        obs::Count("governor.deadline_aborts");
-        break;
-      case StatusCode::kCancelled:
-        ++gs.cancel_aborts;
-        // One cancel aborts one request.
-        dvms_->cancel_flag_->store(false, std::memory_order_relaxed);
-        obs::Count("governor.cancel_aborts");
-        break;
-      case StatusCode::kResourceExhausted:
-        ++gs.mem_aborts;
-        obs::Count("governor.mem_aborts");
-        break;
-      default:
-        break;
-    }
+    // rewind.
+    dvms_->FoldGovernorAccounting(ctx_, dvms_->cancel_flag_.get());
   }
   --t_governed_depth;
+}
+
+void Dvms::FoldGovernorAccounting(const QueryContext& ctx,
+                                  std::atomic<bool>* cancel_flag) {
+  // gov_mu_ (a leaf lock) serializes the writer's fold against concurrent
+  // snapshot readers folding theirs.
+  std::lock_guard<std::mutex> gov_lock(gov_mu_);
+  GovernorStats& gs = governor_stats_;
+  gs.checkpoints += ctx.checkpoints();
+  if (ctx.peak_bytes() > gs.peak_mem_bytes) {
+    gs.peak_mem_bytes = ctx.peak_bytes();
+  }
+  switch (ctx.abort_code()) {
+    case StatusCode::kDeadlineExceeded:
+      ++gs.deadline_aborts;
+      obs::Count("governor.deadline_aborts");
+      break;
+    case StatusCode::kCancelled:
+      ++gs.cancel_aborts;
+      // One cancel aborts one request.
+      cancel_flag->store(false, std::memory_order_relaxed);
+      obs::Count("governor.cancel_aborts");
+      break;
+    case StatusCode::kResourceExhausted:
+      ++gs.mem_aborts;
+      obs::Count("governor.mem_aborts");
+      break;
+    default:
+      break;
+  }
 }
 
 void Dvms::RequestCancel() {
@@ -674,10 +642,15 @@ Status Dvms::ExecuteDispatch(const Statement& statement) {
       return Status::OK();
     }
     case Statement::Kind::kExplain: {
-      DVMS_RETURN_IF_ERROR(SyncSystemRelationsLocked(statement.select));
+      // The live catalog under the write lock, not a published epoch: the
+      // report must see this program's earlier, not yet published
+      // statements.
+      CatalogSchemaResolver schemas(&catalog_);
+      CatalogRelationSource rows(&catalog_);
       DVMS_ASSIGN_OR_RETURN(
           Table report,
-          ExplainLocked(statement.select, statement.explain_analyze));
+          ExecuteOver(schemas, rows, statement.select, /*explain=*/true,
+                      statement.explain_analyze));
       if (statement.target_name.empty()) return Status::OK();
       // Named form materializes the report as a system relation so later
       // DeVIL queries can join/filter it.
@@ -747,125 +720,12 @@ Status Dvms::LoadProgram(const std::string& source) {
 }
 
 Result<Table> Dvms::Query(const std::string& select_sql) {
-  // Read-only by construction (ParseQuery only accepts SELECT / EXPLAIN):
-  // draws a reader slot, never a mutation slot. Still serialized under mu_
-  // — the lock-free concurrent path is Session::Query.
-  AdmissionTicket ticket(this, AdmissionTicket::Gate::kReader);
-  DVMS_RETURN_IF_ERROR(ticket.status());
-  MuLock lock(mu_, write_lock_acquisitions_);
-  GovernedRequest request(this);
-  obs::Span span("engine.query");
-  DVMS_ASSIGN_OR_RETURN(QueryRequest req, ParseQuery(select_sql));
-  DVMS_RETURN_IF_ERROR(SyncSystemRelationsLocked(req.select));
-  if (req.explain) return ExplainLocked(req.select, req.analyze);
-  CatalogSchemaResolver resolver(&catalog_);
-  Planner planner(&resolver);
-  DVMS_ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanSelect(req.select));
-  Binder binder(&resolver, &udfs_);
-  DVMS_RETURN_IF_ERROR(binder.Bind(plan.get()));
-  Executor exec(&catalog_, &udfs_);
-  ExecOptions exec_opts;
-  exec_opts.pool = owned_pool_.get();
-  exec_opts.num_threads = options_.num_threads;
-  DVMS_ASSIGN_OR_RETURN(std::unique_ptr<NodeResult> result,
-                        exec.Execute(*plan, exec_opts));
-  return std::move(result->table);
-}
-
-Status Dvms::SyncSystemRelationsLocked(const SelectStmt& select) {
-  std::vector<std::string> names;
-  CollectFromNames(select, &names);
-  for (const std::string& name : names) {
-    Table refreshed(Schema{});
-    const char* canonical = nullptr;
-    if (IdentEquals(name, kMetricsRelation)) {
-      refreshed = BuildMetricsTable(
-          write_lock_acquisitions_.load(std::memory_order_relaxed));
-      canonical = kMetricsRelation;
-    } else if (IdentEquals(name, kSpansRelation)) {
-      refreshed = BuildSpansTable();
-      canonical = kSpansRelation;
-    } else if (IdentEquals(name, kGovernorRelation)) {
-      refreshed = BuildGovernorTable();
-      canonical = kGovernorRelation;
-    } else if (IdentEquals(name, kReplicationRelation)) {
-      refreshed = BuildReplicationTable();
-      canonical = kReplicationRelation;
-    } else if (IdentEquals(name, kStorageRelation)) {
-      refreshed = BuildStorageTable();
-      canonical = kStorageRelation;
-    } else {
-      continue;
-    }
-    if (!catalog_.Exists(canonical)) {
-      DVMS_RETURN_IF_ERROR(catalog_
-                               .CreateTable(canonical, refreshed.schema(),
-                                            RelationKind::kSystem,
-                                            /*max_history=*/2)
-                               .status());
-    }
-    DVMS_ASSIGN_OR_RETURN(VersionedTable * table, catalog_.Get(canonical));
-    DVMS_RETURN_IF_ERROR(table->SetCurrent(std::move(refreshed)));
-  }
-  return Status::OK();
-}
-
-Result<Table> Dvms::ExplainLocked(const SelectStmt& select, bool analyze) {
-  CatalogSchemaResolver resolver(&catalog_);
-  CatalogRelationSource source(&catalog_);
-  return ExplainWith(resolver, source, select, analyze);
-}
-
-Result<Table> Dvms::ExplainWith(const SchemaResolver& resolver,
-                                const RelationSource& source,
-                                const SelectStmt& select, bool analyze) {
-  Planner planner(&resolver);
-  DVMS_ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanSelect(select));
-  Binder binder(&resolver, &udfs_);
-  DVMS_RETURN_IF_ERROR(binder.Bind(plan.get()));
-  Table report(Schema({{"operator", ValueType::kString},
-                       {"detail", ValueType::kString},
-                       {"depth", ValueType::kInt64},
-                       {"rows", ValueType::kInt64},
-                       {"morsels", ValueType::kInt64},
-                       {"self_us", ValueType::kInt64},
-                       {"total_us", ValueType::kInt64}}));
-  if (!analyze) {
-    // Plan-only: pre-order walk with NULL runtime columns.
-    std::function<void(const PlanNode&, int64_t)> walk =
-        [&](const PlanNode& node, int64_t depth) {
-          report.AppendUnchecked(
-              {Value::String(PlanKindToString(node.kind)),
-               Value::String(PlanNodeDetail(node)), Value::Int(depth),
-               Value::Null(), Value::Null(), Value::Null(), Value::Null()});
-          for (const PlanPtr& child : node.children) walk(*child, depth + 1);
-        };
-    walk(*plan, 0);
-    return report;
-  }
-  Executor exec(&source, &udfs_);
-  ExecOptions exec_opts;
-  exec_opts.pool = owned_pool_.get();
-  exec_opts.num_threads = options_.num_threads;
-  exec_opts.analyze = true;
-  DVMS_ASSIGN_OR_RETURN(std::unique_ptr<NodeResult> result,
-                        exec.Execute(*plan, exec_opts));
-  std::function<void(const NodeResult&, int64_t)> walk =
-      [&](const NodeResult& node, int64_t depth) {
-        int64_t children_us = 0;
-        for (const auto& child : node.children) children_us += child->exec_us;
-        int64_t self_us = node.exec_us - children_us;
-        if (self_us < 0) self_us = 0;
-        report.AppendUnchecked(
-            {Value::String(PlanKindToString(node.node->kind)),
-             Value::String(PlanNodeDetail(*node.node)), Value::Int(depth),
-             Value::Int(static_cast<int64_t>(node.table.num_rows())),
-             Value::Int(static_cast<int64_t>(node.morsels_used)),
-             Value::Int(self_us), Value::Int(node.exec_us)});
-        for (const auto& child : node.children) walk(*child, depth + 1);
-      };
-  walk(*result, 0);
-  return report;
+  // The snapshot read at the latest epoch under the engine's own envelope,
+  // so RequestCancel() aborts (and is consumed by) the next engine read.
+  ReadEnvelope envelope{cancel_flag_, governor_config_.deadline_ms,
+                        governor_config_.mem_budget};
+  return SnapshotRead("engine.query", select_sql, /*pinned=*/nullptr,
+                      envelope, /*read_epoch=*/nullptr);
 }
 
 Status Dvms::RecomputeTrace(const TraceDefEntry& entry) {
@@ -2298,110 +2158,79 @@ void Dvms::PublishSnapshotLocked() {
   }
 }
 
-Result<Table> Dvms::SnapshotRead(Session* session,
-                                 const std::string& select_sql) {
+Result<Table> Dvms::SnapshotRead(const char* span_name,
+                                 const std::string& select_sql,
+                                 SnapshotPtr pinned,
+                                 const ReadEnvelope& envelope,
+                                 uint64_t* read_epoch) {
   // Parse before admission: a syntax error should not consume a slot.
   DVMS_ASSIGN_OR_RETURN(QueryRequest req, ParseQuery(select_sql));
   AdmissionTicket ticket(this, AdmissionTicket::Gate::kReader);
   DVMS_RETURN_IF_ERROR(ticket.status());
-  obs::Span span("session.query");
+  obs::Span span(span_name);
 
-  // Pin the epoch for the duration of the read: the session-pinned epoch
+  // Pin the epoch for the duration of the read: the caller's pinned epoch
   // if set, else the latest published one. shared_ptr ownership is the GC
   // barrier; NotePin/NoteUnpin is pure accounting for leak checks.
-  const bool transient_pin = session->pinned_ == nullptr;
-  SnapshotPtr view =
-      transient_pin ? snapshots_.Acquire() : session->pinned_;
+  const bool transient_pin = pinned == nullptr;
+  SnapshotPtr view = transient_pin ? snapshots_.Acquire() : std::move(pinned);
   if (view == nullptr) {
     return Status::Internal("no snapshot epoch published yet");
   }
   if (transient_pin) snapshots_.NotePin();
-  session->last_read_epoch_ = view->epoch();
+  if (read_epoch != nullptr) *read_epoch = view->epoch();
 
-  // The session's own governor envelope: engine deadline/budget unless the
-  // session overrides them, plus the session-private cancel flag — so
-  // cancelling one session can never abort another's query.
   QueryContext ctx;
-  int64_t deadline_ms = session->options_.deadline_ms >= 0
-                            ? session->options_.deadline_ms
-                            : governor_config_.deadline_ms;
-  int64_t mem_budget = session->options_.mem_budget >= 0
-                           ? session->options_.mem_budget
-                           : governor_config_.mem_budget;
-  ctx.ArmDeadline(deadline_ms, governor_config_.clock);
-  ctx.ArmMemoryBudget(mem_budget);
-  ctx.ShareCancelFlag(session->cancel_);
-
-  Result<Table> out = [&]() -> Result<Table> {
+  ctx.ArmDeadline(envelope.deadline_ms, governor_config_.clock);
+  ctx.ArmMemoryBudget(envelope.mem_budget);
+  ctx.ShareCancelFlag(envelope.cancel_flag);
+  Result<Table> out = [&] {
     GovernorRequestScope scope(&ctx);
-    // System relations are rebuilt fresh from thread-safe obs/governor
-    // state and overlaid on the snapshot — never read from (or written
-    // to) the live catalog.
-    OverlaySnapshotView overlay(view.get());
-    std::vector<std::string> names;
-    CollectFromNames(req.select, &names);
-    for (const std::string& name : names) {
-      if (IdentEquals(name, kMetricsRelation)) {
-        overlay.AddOverlay(
-            kMetricsRelation,
-            BuildMetricsTable(
-                write_lock_acquisitions_.load(std::memory_order_relaxed)));
-      } else if (IdentEquals(name, kSpansRelation)) {
-        overlay.AddOverlay(kSpansRelation, BuildSpansTable());
-      } else if (IdentEquals(name, kGovernorRelation)) {
-        overlay.AddOverlay(kGovernorRelation, BuildGovernorTable());
-      } else if (IdentEquals(name, kReplicationRelation)) {
-        overlay.AddOverlay(kReplicationRelation, BuildReplicationTable());
-      } else if (IdentEquals(name, kStorageRelation)) {
-        overlay.AddOverlay(kStorageRelation, BuildStorageTable());
-      }
-    }
-    if (req.explain) {
-      return ExplainWith(overlay, overlay, req.select, req.analyze);
-    }
-    Planner planner(&overlay);
-    DVMS_ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanSelect(req.select));
-    Binder binder(&overlay, &udfs_);
-    DVMS_RETURN_IF_ERROR(binder.Bind(plan.get()));
-    Executor exec(static_cast<const RelationSource*>(&overlay), &udfs_);
-    ExecOptions exec_opts;
-    exec_opts.pool = owned_pool_.get();
-    exec_opts.num_threads = options_.num_threads;
-    DVMS_ASSIGN_OR_RETURN(std::unique_ptr<NodeResult> result,
-                          exec.Execute(*plan, exec_opts));
-    return std::move(result->table);
+    return ExecuteOver(*view, *view, req.select, req.explain, req.analyze);
   }();
-
-  // Fold the read's governor accounting; reader aborts land in the same
-  // counters the serialized writer uses, under the gov_mu_ leaf lock.
-  {
-    std::lock_guard<std::mutex> gov_lock(gov_mu_);
-    GovernorStats& gs = governor_stats_;
-    gs.checkpoints += ctx.checkpoints();
-    if (ctx.peak_bytes() > gs.peak_mem_bytes) {
-      gs.peak_mem_bytes = ctx.peak_bytes();
-    }
-    switch (ctx.abort_code()) {
-      case StatusCode::kDeadlineExceeded:
-        ++gs.deadline_aborts;
-        obs::Count("governor.deadline_aborts");
-        break;
-      case StatusCode::kCancelled:
-        ++gs.cancel_aborts;
-        // One cancel aborts one query of this session.
-        session->cancel_->store(false, std::memory_order_relaxed);
-        obs::Count("governor.cancel_aborts");
-        break;
-      case StatusCode::kResourceExhausted:
-        ++gs.mem_aborts;
-        obs::Count("governor.mem_aborts");
-        break;
-      default:
-        break;
-    }
-  }
+  // Reader aborts land in the same counters the serialized writer uses.
+  FoldGovernorAccounting(ctx, envelope.cancel_flag.get());
   if (transient_pin) snapshots_.NoteUnpin();
   return out;
+}
+
+Result<Table> Dvms::ExecuteOver(const SchemaResolver& schemas,
+                                const RelationSource& rows,
+                                const SelectStmt& select, bool explain,
+                                bool analyze) const {
+  // The engine's system relations, rebuilt per read from thread-safe
+  // obs/governor/replication/storage state and overlaid on the read's
+  // base. They never enter the catalog or a published snapshot.
+  struct SystemRelation {
+    const char* name;
+    Table (*build)(const Dvms&);
+  };
+  static const SystemRelation kSystemRelations[] = {
+      {"dvms_metrics",
+       [](const Dvms& e) {
+         return BuildMetricsTable(
+             e.write_lock_acquisitions_.load(std::memory_order_relaxed));
+       }},
+      {"dvms_spans", [](const Dvms&) { return BuildSpansTable(); }},
+      {"dvms_governor", [](const Dvms& e) { return e.BuildGovernorTable(); }},
+      {"dvms_replication",
+       [](const Dvms& e) { return e.BuildReplicationTable(); }},
+      {"dvms_storage", [](const Dvms& e) { return e.BuildStorageTable(); }},
+  };
+  OverlaySnapshotView view(&schemas, &rows);
+  std::vector<std::string> names;
+  CollectFromNames(select, &names);
+  for (const std::string& name : names) {
+    for (const SystemRelation& rel : kSystemRelations) {
+      if (IdentEquals(name, rel.name) && !view.HasOverlay(rel.name)) {
+        view.AddOverlay(rel.name, rel.build(*this));
+      }
+    }
+  }
+  ExecOptions opts;
+  opts.pool = owned_pool_.get();
+  opts.num_threads = options_.num_threads;
+  return view.Execute(select, explain, analyze, &udfs_, opts);
 }
 
 }  // namespace dvms

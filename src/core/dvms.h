@@ -189,9 +189,12 @@ class Dvms {
   /// Ad-hoc query evaluation (not registered as a view). Accepts
   /// `SELECT ...` as well as `EXPLAIN [ANALYZE] SELECT ...`; the EXPLAIN
   /// forms return the plan report table (per-operator rows/time/morsels
-  /// under ANALYZE) instead of the query result. Queries over the system
-  /// relations dvms_metrics / dvms_spans see a snapshot refreshed at the
-  /// start of this call.
+  /// under ANALYZE) instead of the query result. A snapshot read, exactly
+  /// like Session::Query: it runs lock-free against the latest published
+  /// epoch, draws a reader admission slot, and is governed by the engine
+  /// deadline/memory budget and RequestCancel(). The system relations
+  /// (dvms_metrics, dvms_spans, dvms_governor, dvms_replication,
+  /// dvms_storage) are built fresh at the start of this call.
   Result<Table> Query(const std::string& select_sql);
 
   // ---- Interaction loop ----
@@ -483,18 +486,6 @@ class Dvms {
   /// lineage for @vnow-1 provenance.
   Status CommitViews();
 
-  // ---- Observability plumbing ----
-
-  /// Refreshes the system relations referenced by `select` (dvms_metrics /
-  /// dvms_spans), creating them lazily with RelationKind::kSystem. System
-  /// relations are excluded from mutation-unit arming, interaction
-  /// commits, and durability snapshots.
-  Status SyncSystemRelationsLocked(const SelectStmt& select);
-
-  /// EXPLAIN [ANALYZE]: plans (and under `analyze` executes) the select,
-  /// returning the per-operator report table.
-  Result<Table> ExplainLocked(const SelectStmt& select, bool analyze);
-
   /// Restores base/event relations from the undo history at the current
   /// cursor and recomputes everything downstream.
   Status RestoreToCursor();
@@ -585,17 +576,38 @@ class Dvms {
     bool active_;
   };
 
-  /// The lock-free read path behind Session::Query: parse, admit through
-  /// the reader gate, pin a snapshot epoch (the session-pinned epoch if
-  /// set), overlay freshly built system relations, then plan/bind/execute
-  /// entirely against immutable state. Never acquires mu_.
-  Result<Table> SnapshotRead(Session* session, const std::string& select_sql);
+  /// The governor envelope of one read: the cancel flag it observes (and
+  /// consumes on abort) plus its deadline and memory budget (0 = none).
+  struct ReadEnvelope {
+    std::shared_ptr<std::atomic<bool>> cancel_flag;
+    int64_t deadline_ms = 0;
+    int64_t mem_budget = 0;
+  };
 
-  /// EXPLAIN [ANALYZE] report over an arbitrary resolver/source pair —
-  /// shared by the locked path (live catalog) and snapshot reads.
-  Result<Table> ExplainWith(const SchemaResolver& resolver,
-                            const RelationSource& source,
-                            const SelectStmt& select, bool analyze);
+  /// The one read path, behind Dvms::Query and Session::Query: parse,
+  /// admit through the reader gate, pin `pinned` (null = the latest epoch,
+  /// pinned for this read only), overlay freshly built system relations,
+  /// then plan/bind/execute under `envelope` entirely against immutable
+  /// state. Never acquires mu_. Stores the epoch read in `*read_epoch`
+  /// when non-null.
+  Result<Table> SnapshotRead(const char* span_name,
+                             const std::string& select_sql,
+                             SnapshotPtr pinned, const ReadEnvelope& envelope,
+                             uint64_t* read_epoch);
+
+  /// Overlays the system relations `select` references on the base pair
+  /// (a published epoch, or the live catalog under mu_), then runs it —
+  /// or its EXPLAIN [ANALYZE] report — on the engine pool.
+  Result<Table> ExecuteOver(const SchemaResolver& schemas,
+                            const RelationSource& rows,
+                            const SelectStmt& select, bool explain,
+                            bool analyze) const;
+
+  /// Folds one request's governor accounting (checkpoints, peak memory,
+  /// abort counters) into governor_stats_; a cancel abort lowers
+  /// `cancel_flag` so one cancel aborts one request.
+  void FoldGovernorAccounting(const QueryContext& ctx,
+                              std::atomic<bool>* cancel_flag);
 
   // ---- Durability plumbing ----
 

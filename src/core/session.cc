@@ -15,7 +15,16 @@ Session::~Session() { Close(); }
 
 Result<Table> Session::Query(const std::string& select_sql) {
   if (closed_) return Status::InvalidArgument("session is closed");
-  return engine_->SnapshotRead(this, select_sql);
+  // The session's own envelope: engine deadline/budget unless the session
+  // overrides them, plus the session-private cancel flag — so cancelling
+  // one session can never abort another's query.
+  const GovernorConfig& engine = engine_->governor_config_;
+  Dvms::ReadEnvelope envelope{
+      cancel_,
+      options_.deadline_ms >= 0 ? options_.deadline_ms : engine.deadline_ms,
+      options_.mem_budget >= 0 ? options_.mem_budget : engine.mem_budget};
+  return engine_->SnapshotRead("session.query", select_sql, pinned_,
+                               envelope, &last_read_epoch_);
 }
 
 Status Session::Pin() {

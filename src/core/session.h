@@ -94,8 +94,6 @@ class Session {
   bool closed() const { return closed_; }
 
  private:
-  friend class Dvms;
-
   Dvms* engine_;
   Options options_;
   std::shared_ptr<std::atomic<bool>> cancel_;

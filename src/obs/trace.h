@@ -9,8 +9,8 @@
 ///      flag check. No locks, no allocation, no clock reads on the
 ///      disabled path.
 ///   2. Queryable from DeVIL itself: the registry snapshots into the
-///      system relations `dvms_metrics` / `dvms_spans` (see
-///      Dvms::SyncSystemRelationsLocked), dogfooding the paper's
+///      system relations `dvms_metrics` / `dvms_spans`, built per read and
+///      overlaid on it (see Dvms::ExecuteOver), dogfooding the paper's
 ///      "everything is a relation" philosophy.
 ///   3. Rollback-consistent: a mutation unit that rolls back must not leak
 ///      counters or spans into `dvms_metrics` (mirrors how UnitState

@@ -74,8 +74,9 @@ struct ExecOptions {
   bool vectorize = exec::VectorizeDefault();
 };
 
-/// Where the executor reads relations from. The engine's locked path reads
-/// the live catalog; concurrent session reads go through an immutable
+/// Where the executor reads relations from. View maintenance and named
+/// EXPLAIN statements read the live catalog under the engine write lock;
+/// ad-hoc reads (Dvms::Query, Session::Query) go through an immutable
 /// snapshot view (see concurrency/snapshot.h) so no scan ever touches
 /// mutable storage.
 class RelationSource {

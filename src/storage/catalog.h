@@ -18,8 +18,8 @@ enum class RelationKind {
   kView,   // materialized result of a DeVIL view statement
   kEvent,  // compound-event table fed by the event recognizer
   kMarks,   // marks relation (a view whose output is renderable)
-  kSystem,  // engine-maintained introspection relation (dvms_metrics, ...);
-            // excluded from commits, undo, snapshots, and the WAL
+  kSystem,  // engine-maintained report (a named EXPLAIN); excluded from
+            // commits, undo, durable snapshots, and the WAL
 };
 
 const char* RelationKindToString(RelationKind kind);

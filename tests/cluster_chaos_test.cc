@@ -17,11 +17,8 @@
 // Labeled `slow` in ctest; the fast deterministic routing tests live in
 // cluster_test.cc.
 
-#include <unistd.h>
-
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -35,32 +32,11 @@
 #include "core/dvms.h"
 #include "parser/parser.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace dvms {
 namespace cluster {
 namespace {
-
-namespace fs = std::filesystem;
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag) {
-    static int counter = 0;
-    path_ = fs::path(::testing::TempDir()) /
-            ("dvms_clchaos_" + tag + "_" + std::to_string(::getpid()) + "_" +
-             std::to_string(counter++));
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
 
 const char* kProgram = R"(
 C = EVENT MOUSE_DOWN AS D, MOUSE_MOVE* AS M, MOUSE_UP AS U

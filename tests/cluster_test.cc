@@ -7,11 +7,8 @@
 // cancellation, and hedged-read accounting. The seeded multi-threaded
 // chaos sweep lives in cluster_chaos_test.cc.
 
-#include <unistd.h>
-
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -25,32 +22,11 @@
 #include "core/session.h"
 #include "obs/trace.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace dvms {
 namespace cluster {
 namespace {
-
-namespace fs = std::filesystem;
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag) {
-    static int counter = 0;
-    path_ = fs::path(::testing::TempDir()) /
-            ("dvms_cluster_" + tag + "_" + std::to_string(::getpid()) + "_" +
-             std::to_string(counter++));
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
 
 Dvms::Options PrimaryOptions(const std::string& dir) {
   Dvms::Options options;

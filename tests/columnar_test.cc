@@ -5,8 +5,6 @@
 // differential — bit-identical tables, pixels, and lineage at 1 and 4
 // threads, including a full corpus replay through both paths.
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -34,6 +32,7 @@
 #include "storage/dict.h"
 #include "storage/table.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace dvms {
 namespace {
@@ -667,26 +666,6 @@ TEST(ColumnarEngineDifferentialTest, CorpusReplayMatchesRowPath) {
 }
 
 // ---- Recovery from a row-store-era snapshot + WAL ------------------------
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag) {
-    static int counter = 0;
-    path_ = fs::path(::testing::TempDir()) /
-            ("dvms_" + tag + "_" + std::to_string(::getpid()) + "_" +
-             std::to_string(counter++));
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
 
 const char* kRecoveryProgram = R"(
   C = EVENT MOUSE_DOWN AS D, MOUSE_MOVE* AS M, MOUSE_UP AS U

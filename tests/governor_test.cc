@@ -265,6 +265,23 @@ TEST(GovernorEngineTest, CancelAbortsNextRequestAndIsConsumed) {
   EXPECT_EQ(engine->governor_stats().cancel_aborts, 1u);
 }
 
+TEST(GovernorEngineTest, CancelAbortsNextEngineQueryAndIsConsumed) {
+  FakeClock clock;
+  Dvms::Options options;
+  options.deadline_ms = 1'000'000;  // arms the governor; never expires
+  options.governor_clock = clock.fn();
+  auto engine = MakeGovernedEngine(options);
+
+  // Dvms::Query is a snapshot read under the engine envelope: the engine
+  // cancel flag aborts it exactly like a mutation, and the abort lowers it.
+  engine->RequestCancel();
+  Status st = engine->Query("SELECT bucket, v FROM Pts").status();
+  ASSERT_EQ(st.code(), StatusCode::kCancelled) << st.message();
+  EXPECT_EQ(engine->governor_stats().cancel_aborts, 1u);
+  EXPECT_TRUE(engine->Insert("Pts", SomeRows(8, 500)).ok());
+  EXPECT_EQ(engine->governor_stats().cancel_aborts, 1u);
+}
+
 TEST(GovernorEngineTest, MemoryBudgetAbortsOversizedJoin) {
   Dvms::Options options;
   options.mem_budget = 256 * 1024;

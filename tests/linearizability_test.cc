@@ -6,7 +6,10 @@
 // to some prefix-consistent serial state). The epoch tag each session
 // records per read (Session::last_read_epoch) is the explicit witness:
 // serial replay maps every published epoch to the one table state readers
-// were allowed to observe at it.
+// were allowed to observe at it. The serial reference is read straight from
+// the live catalog (ReadLiveCatalog): Dvms::Query and Session::Query both
+// run the snapshot code under test, so a bug in SnapshotManager::Publish or
+// RelationSnapshot::Read would agree with itself there.
 //
 // Runs at 1/2/4/8 reader threads; the TSan ci leg re-runs this suite with
 // -DDVMS_SANITIZE=thread to catch data races the assertions cannot.
@@ -24,6 +27,7 @@
 #include "core/session.h"
 #include "parser/parser.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace dvms {
 namespace {
@@ -122,6 +126,8 @@ TEST_P(LinearizabilityStress, ConcurrentReadsMatchSomeSerialPrefix) {
   for (int r = 0; r < num_readers; ++r) {
     readers.emplace_back([&, r] {
       Session session(live.get());
+      // Read until the writer is done (and at least reads_per_thread
+      // times), so every reader overlaps the whole schedule.
       for (int i = 0; i < reads_per_thread || !writer_done.load(); ++i) {
         auto result = session.Query(kReadQuery);
         if (!result.ok()) {
@@ -130,7 +136,6 @@ TEST_P(LinearizabilityStress, ConcurrentReadsMatchSomeSerialPrefix) {
         }
         reads[r].push_back(
             {session.last_read_epoch(), Fingerprint(result.value())});
-        if (i >= reads_per_thread + 8) break;  // writer done; a few extra
       }
     });
   }
@@ -151,7 +156,7 @@ TEST_P(LinearizabilityStress, ConcurrentReadsMatchSomeSerialPrefix) {
   ASSERT_EQ(serial->published_epoch(), epoch0);
   std::map<uint64_t, std::string> serial_state;  // epoch -> table state
   {
-    auto initial = serial->Query(kReadQuery);
+    auto initial = ReadLiveCatalog(*serial, kReadQuery);
     ASSERT_TRUE(initial.ok());
     serial_state[epoch0] = Fingerprint(initial.value());
   }
@@ -160,7 +165,7 @@ TEST_P(LinearizabilityStress, ConcurrentReadsMatchSomeSerialPrefix) {
     // Epochs are a pure function of the mutation sequence: the live run's
     // concurrent readers published nothing.
     ASSERT_EQ(serial->published_epoch(), commit_epochs[i]) << "op " << i;
-    auto result = serial->Query(kReadQuery);
+    auto result = ReadLiveCatalog(*serial, kReadQuery);
     ASSERT_TRUE(result.ok());
     serial_state[commit_epochs[i]] = Fingerprint(result.value());
   }

@@ -2,6 +2,7 @@
 #include "query/optimizer.h"
 #include "workload/tpch.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace dvms {
 namespace {
@@ -32,8 +33,12 @@ class OptimizerTest : public ::testing::Test {
     ASSERT_TRUE(engine_->maintainer()->OnChanged({"selected_years"}).ok());
   }
 
-  /// Reference result computed with the optimizer bypassed (ad-hoc query).
-  Table Reference(const std::string& sql) { return engine_->Query(sql).value(); }
+  /// Reference result computed with the optimizer bypassed. Read from the
+  /// live catalog: SelectYears writes it directly, which publishes no
+  /// snapshot epoch for Dvms::Query to see.
+  Table Reference(const std::string& sql) {
+    return ReadLiveCatalog(*engine_, sql).value();
+  }
 
   std::unique_ptr<Dvms> engine_;
 };

@@ -12,8 +12,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -26,32 +26,10 @@
 #include "core/session.h"
 #include "durability/tailer.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace dvms {
 namespace {
-
-namespace fs = std::filesystem;
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag) {
-    static int counter = 0;
-    path_ = fs::path(::testing::TempDir()) /
-            ("dvms_repl_" + tag + "_" + std::to_string(::getpid()) + "_" +
-             std::to_string(counter++));
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  std::string str() const { return path_.string(); }
-  fs::path path() const { return path_; }
-
- private:
-  fs::path path_;
-};
 
 Dvms::Options PrimaryOptions(const std::string& dir) {
   Dvms::Options options;
@@ -290,7 +268,15 @@ TEST(ReplicationTest, ReplicationFaultsRaiseLagNeverCrash) {
           primary.Insert("Sales", {{Value::Int(1000 + i), Value::Double(i)}})
               .ok());
     }
-    EXPECT_GT(faults.injector()->injections(FaultSite::kReplication), 0u);
+    // The writes can all land before the tail thread is next scheduled, so
+    // hold the fault window open (bounded) until a tail poll has hit it.
+    auto injected = [&faults] {
+      return faults.injector()->injections(FaultSite::kReplication);
+    };
+    for (int ms = 0; ms < 5000 && injected() == 0; ++ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GT(injected(), 0u);
   }
 
   // With the injector gone the replica drains the backlog and converges.

@@ -25,32 +25,12 @@
 #include "core/session.h"
 #include "durability/manager.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace dvms {
 namespace {
 
 namespace fs = std::filesystem;
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag) {
-    static int counter = 0;
-    path_ = fs::path(::testing::TempDir()) /
-            ("dvms_" + tag + "_" + std::to_string(::getpid()) + "_" +
-             std::to_string(counter++));
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  std::string str() const { return path_.string(); }
-  fs::path path() const { return path_; }
-
- private:
-  fs::path path_;
-};
 
 std::unique_ptr<Dvms> MakeEngine(const std::string& data_dir,
                                  int64_t scrub_ms = 0) {

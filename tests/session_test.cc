@@ -213,11 +213,15 @@ TEST(SessionTest, ConcurrentSessionReadsNeverTakeTheWriteMutex) {
         auto result = session.Query(kReadQuery);
         EXPECT_TRUE(result.ok());
         EXPECT_EQ(result.value().num_rows(), 256u);
+        // Dvms::Query is the same snapshot read under the engine envelope.
+        auto direct = engine->Query(kReadQuery);
+        EXPECT_TRUE(direct.ok());
+        EXPECT_EQ(direct.value().num_rows(), 256u);
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  // 50 concurrent reads later the lock-acquisition counter has not moved.
+  // 100 concurrent reads later the lock-acquisition counter has not moved.
   EXPECT_EQ(write_locks(), before);
   EXPECT_EQ(engine->governor_stats().pinned_snapshots, 0);
 }
