@@ -33,8 +33,8 @@ DVMS_BENCH_JSON="$BENCH_LINES" ./build/bench/bench_fig2_brushing \
 echo "wrote BENCH_parallel.json:"
 cat BENCH_parallel.json
 
-# Columnar kernels vs the row interpreter on the Figure 1 chart queries,
-# plus the snapshot-size comparison. Gates: bit-identical results with a
+# Columnar kernels vs the row interpreter on the Figure 1 chart queries
+# and the Figure 2 brushing plans, plus the snapshot-size comparison. Gates: bit-identical results with a
 # >= 2x vectorized speedup, and the columnar snapshot encoding must be
 # smaller than the legacy row format (every line carries a "pass" field).
 COLUMNAR_LINES="$PWD/build/bench_columnar_lines.jsonl"
@@ -233,7 +233,7 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDVMS_SANITIZE=address,undefined
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-  -R 'Chaos|Fault|Scheduler|Fuzz|UndoRedoBoundary|Crash|Durability|Recovery|Wal|Snapshot|Crc32c|Obs|Explain|Governor|QueryContext|Admission|Linearizability|Session|Replication|Replica|Env|Scrub|Degraded|Columnar|Cluster|ParallelStress')
+  -R 'Chaos|Fault|Scheduler|Fuzz|UndoRedoBoundary|Crash|Durability|Recovery|Wal|Snapshot|Crc32c|Obs|Explain|Governor|QueryContext|Admission|Linearizability|Session|Replication|Replica|Env|Scrub|Degraded|Columnar|Vectorized|Cluster|ParallelStress')
 DVMS_FAULTS="7:0.01" ./build-asan/bench/bench_faults \
   --benchmark_filter=__none__ >/dev/null && echo "asan chaos leg passed"
 # Governed-abort leg: deadline/cancel/memory-budget aborts and their

@@ -201,26 +201,26 @@ size_t Value::Hash() const {
       return 0x9e3779b97f4a7c15ULL;
     case ValueType::kBool:
     case ValueType::kInt64:
-    case ValueType::kDouble: {
+    case ValueType::kDouble:
       // Hash all numerics via their double image so Equals-equal values
       // hash equal. (Int64s beyond 2^53 may collide with nearby doubles
       // they no longer Equal; collisions are fine, inconsistency is not.)
-      double d = NumericOf(*this);
-      if (d == 0.0) d = 0.0;  // normalize -0.0
-      if (std::isnan(d)) return 0x7ff8dead5eedf00dULL;  // NaN == NaN now
-      return std::hash<double>()(d);
-    }
+      return HashNumeric(NumericOf(*this));
     case ValueType::kString:
       return std::hash<std::string>()(string_value());
   }
   return 0;
 }
 
+size_t HashNumeric(double d) {
+  if (d == 0.0) d = 0.0;  // normalize -0.0
+  if (std::isnan(d)) return 0x7ff8dead5eedf00dULL;  // NaN == NaN now
+  return std::hash<double>()(d);
+}
+
 size_t HashRow(const Row& row) {
-  size_t h = 0x51ed2701a3c5e891ULL;
-  for (const Value& v : row) {
-    h ^= v.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
+  size_t h = kRowHashSeed;
+  for (const Value& v : row) h = HashRowStep(h, v.Hash());
   return h;
 }
 

@@ -112,8 +112,17 @@ int CompareInt64Double(int64_t a, double b);
 /// A tuple of values. Row layout is positional against a Schema.
 using Row = std::vector<Value>;
 
-/// Hash of an entire row (order-sensitive).
+/// The hash Value::Hash gives a numeric value with double image `d`:
+/// -0.0 hashes as 0.0 and every NaN alike, consistent with Equals.
+size_t HashNumeric(double d);
+
+/// Hash of an entire row (order-sensitive): HashRowStep folds each cell's
+/// hash into kRowHashSeed in column order.
 size_t HashRow(const Row& row);
+inline constexpr size_t kRowHashSeed = 0x51ed2701a3c5e891ULL;
+inline size_t HashRowStep(size_t h, size_t cell_hash) {
+  return h ^ (cell_hash + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
 
 /// True iff rows have equal length and pairwise Equals values.
 bool RowsEqual(const Row& a, const Row& b);

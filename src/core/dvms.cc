@@ -852,16 +852,24 @@ Result<size_t> Dvms::DeleteLocked(const std::string& name,
     DVMS_RETURN_IF_ERROR(binder.BindExpr(bound.get(), scope));
     EvalContext ctx;
     ctx.udfs = &udfs_;
-    std::vector<Row> kept;
-    for (const Row& row : current.rows()) {
-      DVMS_ASSIGN_OR_RETURN(bool match, EvalPredicate(*bound, row, ctx));
+    // The predicate reads cells straight from the columns; only a ragged
+    // (legacy-built) table needs its row view for each row's own width.
+    ExprEvaluator eval(*bound, ctx);
+    const bool ragged = current.IsRagged();
+    std::vector<size_t> kept;
+    for (size_t i = 0; i < current.num_rows(); ++i) {
+      DVMS_ASSIGN_OR_RETURN(
+          bool match, ragged ? eval.EvalPredicate(RowCells(current.row(i)))
+                             : eval.EvalPredicate(TableCells(current, i)));
       if (match) {
         ++removed;
       } else {
-        kept.push_back(row);
+        kept.push_back(i);
       }
     }
-    current.ReplaceRows(std::move(kept));
+    Table rebuilt(current.schema());
+    rebuilt.AppendGather(current, kept);
+    current = std::move(rebuilt);
   }
   DVMS_RETURN_IF_ERROR(ProcessChanges({name}));
   if (options_.auto_render) {

@@ -92,8 +92,57 @@ Result<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs) {
   return Status::Internal("unknown binary operator");
 }
 
-Result<Value> EvalExpr(const Expr& expr, const Row& row,
-                       const EvalContext& ctx) {
+ExprEvaluator::ExprEvaluator(const Expr& expr, const EvalContext& ctx) {
+  Prepare(expr, ctx);
+}
+
+size_t ExprEvaluator::Prepare(const Expr& expr, const EvalContext& ctx) {
+  const size_t n = nodes_.size();
+  nodes_.emplace_back();
+  nodes_[n].expr = &expr;
+  if (expr.kind == ExprKind::kFunctionCall) {
+    Node& node = nodes_[n];
+    if (ctx.udfs == nullptr) {
+      node.unresolved = Status::BindError(
+          "no UDF registry available for call to '" + expr.function_name +
+          "'");
+    } else {
+      Result<const ScalarUdf*> udf = ctx.udfs->FindScalar(expr.function_name);
+      if (!udf.ok()) {
+        node.unresolved = udf.status();
+      } else if (udf.value()->arity >= 0 &&
+                 static_cast<size_t>(udf.value()->arity) !=
+                     expr.children.size()) {
+        node.unresolved = Status::InvalidArgument(
+            "UDF '" + expr.function_name + "' expects " +
+            std::to_string(udf.value()->arity) + " args, got " +
+            std::to_string(expr.children.size()));
+      } else {
+        node.udf = udf.value();
+        node.args.resize(expr.children.size());
+      }
+    }
+  } else if (expr.kind == ExprKind::kInRelation) {
+    if (ctx.in_sets != nullptr) {
+      auto it = ctx.in_sets->find(IdentKey(expr.in_relation));
+      if (it != ctx.in_sets->end()) nodes_[n].in_set = it->second.get();
+    }
+    if (nodes_[n].in_set == nullptr) {
+      nodes_[n].unresolved = Status::Internal(
+          "IN-relation set for '" + expr.in_relation +
+          "' was not materialized");
+    }
+  }
+  size_t subtree = 1;
+  for (const ExprPtr& c : expr.children) subtree += Prepare(*c, ctx);
+  nodes_[n].subtree = subtree;
+  return subtree;
+}
+
+template <typename Cells>
+Result<Value> ExprEvaluator::EvalNode(size_t n, const Cells& cells) {
+  const Expr& expr = *nodes_[n].expr;
+  const size_t first = n + 1;
   switch (expr.kind) {
     case ExprKind::kLiteral:
       return expr.literal;
@@ -103,15 +152,15 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row,
                                  expr.ToString() + "'");
       }
       size_t idx = static_cast<size_t>(expr.resolved_index);
-      if (idx >= row.size()) {
+      if (idx >= cells.size()) {
         return Status::Internal("column index " + std::to_string(idx) +
                                 " out of range for row of width " +
-                                std::to_string(row.size()));
+                                std::to_string(cells.size()));
       }
-      return row[idx];
+      return cells.Get(idx);
     }
     case ExprKind::kUnary: {
-      DVMS_ASSIGN_OR_RETURN(Value child, EvalExpr(*expr.children[0], row, ctx));
+      DVMS_ASSIGN_OR_RETURN(Value child, EvalNode(first, cells));
       if (expr.unary_op == UnaryOp::kNot) {
         return Value::Bool(!child.IsTruthy());
       }
@@ -123,40 +172,29 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row,
       return Value::Double(-d);
     }
     case ExprKind::kBinary: {
+      const size_t second = first + nodes_[first].subtree;
       // Short-circuit AND/OR on the truthiness of the left side.
       if (expr.binary_op == BinaryOp::kAnd || expr.binary_op == BinaryOp::kOr) {
-        DVMS_ASSIGN_OR_RETURN(Value lhs, EvalExpr(*expr.children[0], row, ctx));
+        DVMS_ASSIGN_OR_RETURN(Value lhs, EvalNode(first, cells));
         bool left = lhs.IsTruthy();
         if (expr.binary_op == BinaryOp::kAnd && !left) return Value::Bool(false);
         if (expr.binary_op == BinaryOp::kOr && left) return Value::Bool(true);
-        DVMS_ASSIGN_OR_RETURN(Value rhs, EvalExpr(*expr.children[1], row, ctx));
+        DVMS_ASSIGN_OR_RETURN(Value rhs, EvalNode(second, cells));
         return Value::Bool(rhs.IsTruthy());
       }
-      DVMS_ASSIGN_OR_RETURN(Value lhs, EvalExpr(*expr.children[0], row, ctx));
-      DVMS_ASSIGN_OR_RETURN(Value rhs, EvalExpr(*expr.children[1], row, ctx));
+      DVMS_ASSIGN_OR_RETURN(Value lhs, EvalNode(first, cells));
+      DVMS_ASSIGN_OR_RETURN(Value rhs, EvalNode(second, cells));
       return ApplyBinary(expr.binary_op, lhs, rhs);
     }
     case ExprKind::kFunctionCall: {
-      if (ctx.udfs == nullptr) {
-        return Status::BindError("no UDF registry available for call to '" +
-                                 expr.function_name + "'");
+      if (nodes_[n].udf == nullptr) return nodes_[n].unresolved;
+      size_t c = first;
+      for (size_t k = 0; k < expr.children.size(); ++k) {
+        DVMS_ASSIGN_OR_RETURN(Value v, EvalNode(c, cells));
+        nodes_[n].args[k] = std::move(v);
+        c += nodes_[c].subtree;
       }
-      DVMS_ASSIGN_OR_RETURN(const ScalarUdf* udf,
-                            ctx.udfs->FindScalar(expr.function_name));
-      if (udf->arity >= 0 &&
-          static_cast<size_t>(udf->arity) != expr.children.size()) {
-        return Status::InvalidArgument(
-            "UDF '" + expr.function_name + "' expects " +
-            std::to_string(udf->arity) + " args, got " +
-            std::to_string(expr.children.size()));
-      }
-      std::vector<Value> args;
-      args.reserve(expr.children.size());
-      for (const auto& c : expr.children) {
-        DVMS_ASSIGN_OR_RETURN(Value v, EvalExpr(*c, row, ctx));
-        args.push_back(std::move(v));
-      }
-      return udf->fn(args);
+      return nodes_[n].udf->fn(nodes_[n].args);
     }
     case ExprKind::kAggregateCall:
       return Status::BindError(
@@ -164,28 +202,28 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row,
           "' cannot be evaluated as a scalar expression (missing GROUP BY "
           "lowering?)");
     case ExprKind::kInRelation: {
-      if (ctx.in_sets == nullptr) {
-        return Status::Internal("IN-relation set for '" + expr.in_relation +
-                                "' was not materialized");
-      }
-      auto it = ctx.in_sets->find(IdentKey(expr.in_relation));
-      if (it == ctx.in_sets->end()) {
-        return Status::Internal("IN-relation set for '" + expr.in_relation +
-                                "' was not materialized");
-      }
-      DVMS_ASSIGN_OR_RETURN(Value needle, EvalExpr(*expr.children[0], row, ctx));
+      if (nodes_[n].in_set == nullptr) return nodes_[n].unresolved;
+      DVMS_ASSIGN_OR_RETURN(Value needle, EvalNode(first, cells));
       if (needle.is_null()) return Value::Bool(false);
-      bool found = it->second->count(needle) > 0;
+      bool found = nodes_[n].in_set->count(needle) > 0;
       return Value::Bool(expr.negated ? !found : found);
     }
   }
   return Status::Internal("unknown expression kind");
 }
 
+template Result<Value> ExprEvaluator::EvalNode(size_t, const RowCells&);
+template Result<Value> ExprEvaluator::EvalNode(size_t, const TableCells&);
+template Result<Value> ExprEvaluator::EvalNode(size_t, const JoinCells&);
+
+Result<Value> EvalExpr(const Expr& expr, const Row& row,
+                       const EvalContext& ctx) {
+  return ExprEvaluator(expr, ctx).Eval(RowCells(row));
+}
+
 Result<bool> EvalPredicate(const Expr& expr, const Row& row,
                            const EvalContext& ctx) {
-  DVMS_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, row, ctx));
-  return v.IsTruthy();
+  return ExprEvaluator(expr, ctx).EvalPredicate(RowCells(row));
 }
 
 }  // namespace dvms

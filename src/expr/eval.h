@@ -5,11 +5,13 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/status.h"
 #include "common/value.h"
 #include "expr/expr.h"
 #include "expr/udf_registry.h"
+#include "storage/table.h"
 
 namespace dvms {
 
@@ -34,9 +36,98 @@ struct EvalContext {
       in_sets = nullptr;
 };
 
-/// Evaluates a bound expression against `row`. Column references must have
-/// resolved_index set (see Binder). Aggregate calls are a bind-time error
-/// here; they are evaluated by the Aggregate operator.
+/// Cell accessors an ExprEvaluator reads column references through. Each
+/// exposes the width of the logical input row and its cells as Values, so
+/// the row and columnar operators share one evaluator.
+///
+/// A materialized row.
+class RowCells {
+ public:
+  explicit RowCells(const Row& row) : row_(row) {}
+  size_t size() const { return row_.size(); }
+  Value Get(size_t i) const { return row_[i]; }
+
+ private:
+  const Row& row_;
+};
+
+/// Row `r` of a non-ragged columnar table, read from its columns.
+class TableCells {
+ public:
+  TableCells(const Table& table, size_t r) : table_(table), r_(r) {}
+  size_t size() const { return table_.num_columns(); }
+  Value Get(size_t i) const { return table_.col(i).Get(r_); }
+
+ private:
+  const Table& table_;
+  size_t r_;
+};
+
+/// The concatenation of a left row and a right row (join predicates), both
+/// read from non-ragged columnar tables.
+class JoinCells {
+ public:
+  JoinCells(const Table& left, size_t li, const Table& right, size_t ri)
+      : left_(left), right_(right), li_(li), ri_(ri) {}
+  size_t size() const { return left_.num_columns() + right_.num_columns(); }
+  Value Get(size_t i) const {
+    size_t lw = left_.num_columns();
+    return i < lw ? left_.col(i).Get(li_) : right_.col(i - lw).Get(ri_);
+  }
+
+ private:
+  const Table& left_;
+  const Table& right_;
+  size_t li_, ri_;
+};
+
+/// A bound expression prepared for repeated evaluation under one context:
+/// each scalar UDF and IN set is resolved once, and every call site reuses
+/// one argument buffer. A resolution failure is kept and returned when
+/// the node is first evaluated, exactly where a per-row lookup would have
+/// failed. Column references must have resolved_index set (see Binder);
+/// aggregate calls are an error here (the Aggregate operator evaluates
+/// them).
+///
+/// Evaluation writes the argument buffers, so each thread needs its own
+/// evaluator; copies keep the resolved state.
+class ExprEvaluator {
+ public:
+  ExprEvaluator(const Expr& expr, const EvalContext& ctx);
+
+  /// Cells is RowCells, TableCells or JoinCells.
+  template <typename Cells>
+  Result<Value> Eval(const Cells& cells) {
+    return EvalNode(0, cells);
+  }
+
+  /// Predicate semantics: NULL and every non-truthy value are false.
+  template <typename Cells>
+  Result<bool> EvalPredicate(const Cells& cells) {
+    DVMS_ASSIGN_OR_RETURN(Value v, EvalNode(0, cells));
+    return v.IsTruthy();
+  }
+
+ private:
+  /// One expression node, stored in pre-order: a node's first child
+  /// follows it, and each child's subtree spans `subtree` slots.
+  struct Node {
+    const Expr* expr = nullptr;
+    size_t subtree = 1;
+    const ScalarUdf* udf = nullptr;     // kFunctionCall
+    const ValueSet* in_set = nullptr;   // kInRelation
+    Status unresolved;                  // UDF or IN set lookup failure
+    std::vector<Value> args;            // kFunctionCall scratch
+  };
+
+  size_t Prepare(const Expr& expr, const EvalContext& ctx);
+  template <typename Cells>
+  Result<Value> EvalNode(size_t n, const Cells& cells);
+
+  std::vector<Node> nodes_;
+};
+
+/// One-shot evaluation of `expr` against `row` (an ExprEvaluator used once).
 Result<Value> EvalExpr(const Expr& expr, const Row& row,
                        const EvalContext& ctx);
 

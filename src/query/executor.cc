@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <map>
+#include <optional>
 
 #include "governor/governor.h"
 #include "obs/trace.h"
@@ -165,20 +166,24 @@ bool IsSimpleColumn(const Expr& e, size_t num_cols) {
 }
 
 /// One conjunct of a vectorizable predicate, prepared for column runs.
+/// Every kind is total: it yields a verdict for every row and never fails.
 struct FilterTerm {
   enum class Kind {
     kConstFalse,  // literal-vs-literal false, or a NULL literal operand
     kConstTrue,   // literal-vs-literal true
     kColLit,      // <column> op <literal> (or mirrored)
     kColCol,      // <column> op <column>
+    kIn,          // <column> [NOT] IN <relation>
   };
   Kind kind = Kind::kConstFalse;
   BinaryOp op = BinaryOp::kEq;
   size_t lhs_col = 0, rhs_col = 0;  // kColCol
-  size_t col = 0;                   // kColLit: the column side
+  size_t col = 0;                   // kColLit, kIn: the column side
   bool col_is_lhs = true;           // kColLit: which side the column is on
   Value lit;                        // kColLit: the (non-NULL) literal
   uint32_t lit_dict_id = strdict::kInvalidId;  // kColLit, string literal
+  const ValueSet* in_set = nullptr;            // kIn
+  bool negated = false;                        // kIn
 };
 
 bool IsComparisonOp(BinaryOp op) {
@@ -214,57 +219,99 @@ inline uint8_t CmpVerdict(BinaryOp op, int cmp) {
   }
 }
 
-/// Flattens `e` into AND-ed comparison terms over columns and literals.
-/// Returns false if any conjunct is not of that shape (UDFs, IN, OR,
-/// arithmetic, ...) — the caller then keeps the row-at-a-time path. Safe
-/// w.r.t. short-circuiting because comparison conjuncts cannot error and
-/// always produce non-NULL booleans.
-bool CollectFilterTerms(const Expr& e, size_t num_cols,
-                        std::vector<FilterTerm>* out) {
-  if (e.kind != ExprKind::kBinary) return false;
-  if (e.binary_op == BinaryOp::kAnd) {
-    return CollectFilterTerms(*e.children[0], num_cols, out) &&
-           CollectFilterTerms(*e.children[1], num_cols, out);
+/// Flattens nested ANDs into their conjuncts, in evaluation order.
+void FlattenConjuncts(const Expr& e, std::vector<const Expr*>* out) {
+  if (e.kind == ExprKind::kBinary && e.binary_op == BinaryOp::kAnd) {
+    FlattenConjuncts(*e.children[0], out);
+    FlattenConjuncts(*e.children[1], out);
+  } else {
+    out->push_back(&e);
   }
-  if (!IsComparisonOp(e.binary_op)) return false;
+}
+
+/// Prepares one conjunct as a column-run term. Returns false if it is not
+/// a comparison over columns and literals or a column [NOT] IN probe
+/// against a materialized set (UDFs, OR, arithmetic, ...).
+bool MakeFilterTerm(const Expr& e, size_t num_cols, const EvalContext& ctx,
+                    FilterTerm* t) {
+  if (e.kind == ExprKind::kInRelation) {
+    if (!IsSimpleColumn(*e.children[0], num_cols) || ctx.in_sets == nullptr) {
+      return false;
+    }
+    auto it = ctx.in_sets->find(IdentKey(e.in_relation));
+    if (it == ctx.in_sets->end()) return false;
+    t->kind = FilterTerm::Kind::kIn;
+    t->col = static_cast<size_t>(e.children[0]->resolved_index);
+    t->in_set = it->second.get();
+    t->negated = e.negated;
+    return true;
+  }
+  if (e.kind != ExprKind::kBinary || !IsComparisonOp(e.binary_op)) {
+    return false;
+  }
   const Expr& l = *e.children[0];
   const Expr& r = *e.children[1];
-  FilterTerm t;
-  t.op = e.binary_op;
+  t->op = e.binary_op;
   bool l_col = IsSimpleColumn(l, num_cols), l_lit = l.kind == ExprKind::kLiteral;
   bool r_col = IsSimpleColumn(r, num_cols), r_lit = r.kind == ExprKind::kLiteral;
   if (l_col && r_col) {
-    t.kind = FilterTerm::Kind::kColCol;
-    t.lhs_col = static_cast<size_t>(l.resolved_index);
-    t.rhs_col = static_cast<size_t>(r.resolved_index);
+    t->kind = FilterTerm::Kind::kColCol;
+    t->lhs_col = static_cast<size_t>(l.resolved_index);
+    t->rhs_col = static_cast<size_t>(r.resolved_index);
   } else if ((l_col && r_lit) || (l_lit && r_col)) {
     const Expr& lit = l_lit ? l : r;
     if (lit.literal.is_null()) {
       // Comparisons with NULL are false for every row.
-      t.kind = FilterTerm::Kind::kConstFalse;
+      t->kind = FilterTerm::Kind::kConstFalse;
     } else {
-      t.kind = FilterTerm::Kind::kColLit;
-      t.col = static_cast<size_t>((l_col ? l : r).resolved_index);
-      t.col_is_lhs = l_col;
-      t.lit = lit.literal;
-      if (t.lit.type() == ValueType::kString) {
-        t.lit_dict_id = strdict::Intern(t.lit.string_value());
+      t->kind = FilterTerm::Kind::kColLit;
+      t->col = static_cast<size_t>((l_col ? l : r).resolved_index);
+      t->col_is_lhs = l_col;
+      t->lit = lit.literal;
+      if (t->lit.type() == ValueType::kString) {
+        t->lit_dict_id = strdict::Intern(t->lit.string_value());
       }
     }
   } else if (l_lit && r_lit) {
     if (l.literal.is_null() || r.literal.is_null()) {
-      t.kind = FilterTerm::Kind::kConstFalse;
+      t->kind = FilterTerm::Kind::kConstFalse;
     } else {
       Result<Value> v = ApplyBinary(e.binary_op, l.literal, r.literal);
       if (!v.ok()) return false;
-      t.kind = v.value().IsTruthy() ? FilterTerm::Kind::kConstTrue
-                                    : FilterTerm::Kind::kConstFalse;
+      t->kind = v.value().IsTruthy() ? FilterTerm::Kind::kConstTrue
+                                     : FilterTerm::Kind::kConstFalse;
     }
   } else {
     return false;
   }
-  out->push_back(std::move(t));
   return true;
+}
+
+/// Splits a predicate's conjuncts into a prefix of column-run terms and
+/// the remainder, from the first conjunct that is not a term on. Terms
+/// never fail, so evaluating the prefix term-major and the remainder row
+/// by row (only on rows the prefix kept) runs exactly the evaluations the
+/// row path's short-circuit AND runs, and fails on the same row.
+void SplitFilter(const Expr& predicate, size_t num_cols, const EvalContext& ctx,
+                 std::vector<FilterTerm>* terms,
+                 std::vector<const Expr*>* rest) {
+  std::vector<const Expr*> conjuncts;
+  FlattenConjuncts(predicate, &conjuncts);
+  for (const Expr* e : conjuncts) {
+    FilterTerm t;
+    if (rest->empty() && MakeFilterTerm(*e, num_cols, ctx, &t)) {
+      terms->push_back(std::move(t));
+    } else {
+      rest->push_back(e);
+    }
+  }
+}
+
+/// Verdict of `col [NOT] IN set` for a non-NULL cell. A NULL needle is
+/// false for IN and NOT IN alike; callers handle it.
+inline uint8_t InVerdict(const FilterTerm& t, const Value& needle) {
+  bool found = t.in_set->count(needle) > 0;
+  return found != t.negated;
 }
 
 /// ANDs one term's verdicts over rows [begin, end) into pass[] (1 = still
@@ -275,6 +322,29 @@ void EvalFilterTermRange(const Table& in, const FilterTerm& t, size_t begin,
   if (t.kind == FilterTerm::Kind::kConstTrue) return;
   if (t.kind == FilterTerm::Kind::kConstFalse) {
     std::fill(pass.begin(), pass.end(), 0);
+    return;
+  }
+  if (t.kind == FilterTerm::Kind::kIn) {
+    const ColumnVec& c = in.col(t.col);
+    // A dictionary cell's verdict is a function of its id: probe each
+    // distinct id once per morsel.
+    std::unordered_map<uint32_t, uint8_t> verdicts;
+    for (size_t i = begin; i < end; ++i) {
+      uint8_t& p = pass[i - begin];
+      if (!p) continue;
+      if (c.IsNull(i)) {
+        p = 0;
+      } else if (c.enc() == ColumnVec::Enc::kDict) {
+        uint32_t id = c.dict_ids()[i];
+        auto it = verdicts.find(id);
+        if (it == verdicts.end()) {
+          it = verdicts.emplace(id, InVerdict(t, c.Get(i))).first;
+        }
+        p = it->second;
+      } else {
+        p = InVerdict(t, c.Get(i));
+      }
+    }
     return;
   }
   if (t.kind == FilterTerm::Kind::kColCol) {
@@ -415,6 +485,57 @@ void EvalFilterTermRange(const Table& in, const FilterTerm& t, size_t begin,
   }
 }
 
+/// Builds one output column from evaluated Values. A string equal to the
+/// last one this writer interned reuses its id, so a projected literal
+/// such as 'gray' takes the dictionary lock once per morsel, not per row.
+class ColumnWriter {
+ public:
+  void Append(const Value& v) {
+    if (v.type() != ValueType::kString) {
+      col_.Append(v);
+      return;
+    }
+    if (last_id_ == strdict::kInvalidId ||
+        strdict::Lookup(last_id_) != v.string_value()) {
+      last_id_ = strdict::Intern(v.string_value());
+    }
+    col_.AppendDictId(last_id_);
+  }
+  ColumnVec Take() { return std::move(col_); }
+
+ private:
+  ColumnVec col_;
+  uint32_t last_id_ = strdict::kInvalidId;
+};
+
+/// Evaluates an operator's expressions (group keys, aggregate inputs, sort
+/// keys) for one input row: through prepared evaluators over the typed
+/// cells when the operator runs vectorized, else by EvalExpr on the row
+/// view (the reference path). Null entries (COUNT(*)'s argument) are never
+/// evaluated. Copy one per morsel: evaluation writes scratch buffers.
+class InputExprs {
+ public:
+  InputExprs(const std::vector<const Expr*>& exprs, const Table& in,
+             bool on_cells, const EvalContext& ctx)
+      : exprs_(exprs), in_(in), ctx_(ctx) {
+    for (const Expr* e : exprs_) {
+      evals_.emplace_back();
+      if (on_cells && e != nullptr) evals_.back().emplace(*e, ctx);
+    }
+  }
+
+  Result<Value> Eval(size_t k, size_t row) {
+    if (evals_[k].has_value()) return evals_[k]->Eval(TableCells(in_, row));
+    return EvalExpr(*exprs_[k], in_.row(row), ctx_);
+  }
+
+ private:
+  std::vector<const Expr*> exprs_;
+  const Table& in_;
+  const EvalContext& ctx_;
+  std::vector<std::optional<ExprEvaluator>> evals_;
+};
+
 /// Aggregate partial state over one column within one morsel: sum/count
 /// accumulate directly; min/max track the winning row index so the Value
 /// materializes once per morsel instead of once per row.
@@ -501,6 +622,215 @@ Status SortPermutation(const ParallelCfg& cfg, size_t n, const Less& less,
     perm = std::move(merged);
   }
   *out = std::move(perm);
+  return Status::OK();
+}
+
+/// Columnar hash join, built on the right side, with the row path's
+/// build/probe order, governor cadence and NULL-key rule. Plain-column
+/// keys hash and compare their cells in place (dictionary ids stay ids);
+/// other key expressions are evaluated once per row. Calls emit(li, ri)
+/// for every match: left rows in order, each one's right rows ascending.
+template <typename Emit>
+Status ColumnarHashJoin(const PlanNode& node, const Table& left,
+                        const Table& right, const EvalContext& ctx,
+                        Emit& emit) {
+  const size_t num_keys = node.equi_keys.size();
+  std::vector<size_t> left_cols, right_cols;
+  for (const auto& kv : node.equi_keys) {
+    if (!IsSimpleColumn(*kv.first, left.num_columns()) ||
+        !IsSimpleColumn(*kv.second, right.num_columns())) {
+      break;
+    }
+    left_cols.push_back(static_cast<size_t>(kv.first->resolved_index));
+    right_cols.push_back(static_cast<size_t>(kv.second->resolved_index));
+  }
+  const bool cell_keys = left_cols.size() == num_keys;
+  std::vector<ExprEvaluator> left_evals, right_evals;
+  if (!cell_keys) {
+    for (const auto& kv : node.equi_keys) {
+      left_evals.emplace_back(*kv.first, ctx);
+      right_evals.emplace_back(*kv.second, ctx);
+    }
+  }
+  // Hashes row r's key (consistent with Value::Hash, so int and double
+  // keys that are Equal meet); expression keys also land in *key. False
+  // when some key is NULL: such rows never match.
+  auto hash_key = [cell_keys](const Table& t, size_t r,
+                              const std::vector<size_t>& cols,
+                              std::vector<ExprEvaluator>& evals, Row* key,
+                              size_t* hash) -> Result<bool> {
+    size_t h = kRowHashSeed;
+    bool has_null = false;
+    if (cell_keys) {
+      for (size_t c : cols) {
+        has_null = has_null || t.col(c).IsNull(r);
+        h = HashRowStep(h, t.col(c).HashCell(r));
+      }
+    } else {
+      key->clear();
+      for (ExprEvaluator& e : evals) {
+        DVMS_ASSIGN_OR_RETURN(Value v, e.Eval(TableCells(t, r)));
+        has_null = has_null || v.is_null();
+        h = HashRowStep(h, v.Hash());
+        key->push_back(std::move(v));
+      }
+    }
+    *hash = h;
+    return !has_null;
+  };
+  DVMS_RETURN_IF_ERROR(governor::ChargeMemory(
+      ApproxRowsBytes(right.num_rows(), num_keys + 1)));
+  std::unordered_map<size_t, std::vector<size_t>> buckets;
+  std::vector<Row> right_keys(cell_keys ? 0 : right.num_rows());
+  Row key;
+  size_t hash = 0;
+  for (size_t ri = 0; ri < right.num_rows(); ++ri) {
+    if (ri % (4 * kSerialCheckRows) == 0) {
+      DVMS_RETURN_IF_ERROR(governor::CheckPoint());
+    }
+    DVMS_ASSIGN_OR_RETURN(
+        bool valid, hash_key(right, ri, right_cols, right_evals, &key, &hash));
+    if (!valid) continue;
+    buckets[hash].push_back(ri);
+    if (!cell_keys) right_keys[ri] = key;
+  }
+  for (size_t li = 0; li < left.num_rows(); ++li) {
+    if (li % (4 * kSerialCheckRows) == 0) {
+      DVMS_RETURN_IF_ERROR(governor::CheckPoint());
+    }
+    DVMS_ASSIGN_OR_RETURN(
+        bool valid, hash_key(left, li, left_cols, left_evals, &key, &hash));
+    if (!valid) continue;
+    auto it = buckets.find(hash);
+    if (it == buckets.end()) continue;
+    for (size_t ri : it->second) {
+      bool equal = true;
+      if (cell_keys) {
+        for (size_t k = 0; equal && k < num_keys; ++k) {
+          equal = left.col(left_cols[k])
+                      .CellEquals(li, right.col(right_cols[k]), ri);
+        }
+      } else {
+        equal = RowsEqual(key, right_keys[ri]);
+      }
+      if (equal) DVMS_RETURN_IF_ERROR(emit(li, ri));
+    }
+  }
+  return Status::OK();
+}
+
+/// Row hashes of a non-ragged table, folded column by column from the
+/// cells' Value::Hash images, so equal rows of different tables (and
+/// encodings) hash alike.
+std::vector<size_t> HashRows(const Table& t) {
+  std::vector<size_t> h(t.num_rows(), kRowHashSeed);
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    const ColumnVec& col = t.col(c);
+    for (size_t i = 0; i < h.size(); ++i) {
+      h[i] = HashRowStep(h[i], col.HashCell(i));
+    }
+  }
+  return h;
+}
+
+/// An insertion-ordered set of rows drawn from non-ragged tables, keyed by
+/// (table, row) and compared cell by cell with Value::Equals semantics —
+/// the columnar stand-in for a hash set of Rows. Entry ids count up from 0
+/// in insertion order.
+class RowIdSet {
+ public:
+  static constexpr size_t kAbsent = SIZE_MAX;
+
+  explicit RowIdSet(std::vector<const Table*> tables)
+      : tables_(std::move(tables)) {}
+
+  /// The id of the entry equal to row r of table t (hash h), or kAbsent.
+  size_t Find(uint32_t t, size_t r, size_t h) const {
+    if (slots_.empty()) return kAbsent;
+    for (size_t s = h & mask_;; s = (s + 1) & mask_) {
+      uint32_t e = slots_[s];
+      if (e == 0) return kAbsent;
+      const Entry& entry = entries_[e - 1];
+      if (entry.hash == h && Equal(entry, t, r)) return e - 1;
+    }
+  }
+
+  /// Like Find, but inserts the row as a new entry when absent (and then
+  /// still returns kAbsent).
+  size_t FindOrInsert(uint32_t t, size_t r, size_t h) {
+    size_t found = Find(t, r, h);
+    if (found != kAbsent) return found;
+    if (2 * (entries_.size() + 1) > slots_.size()) Grow();
+    entries_.push_back({t, r, h});
+    Place(entries_.size() - 1);
+    return kAbsent;
+  }
+
+ private:
+  struct Entry {
+    uint32_t table;
+    size_t row;
+    size_t hash;
+  };
+
+  bool Equal(const Entry& e, uint32_t t, size_t r) const {
+    const Table& a = *tables_[e.table];
+    const Table& b = *tables_[t];
+    if (a.num_columns() != b.num_columns()) return false;
+    for (size_t c = 0; c < a.num_columns(); ++c) {
+      if (!a.col(c).CellEquals(e.row, b.col(c), r)) return false;
+    }
+    return true;
+  }
+
+  void Place(size_t id) {
+    size_t s = entries_[id].hash & mask_;
+    while (slots_[s] != 0) s = (s + 1) & mask_;
+    slots_[s] = static_cast<uint32_t>(id + 1);
+  }
+
+  void Grow() {
+    slots_.assign(std::max<size_t>(16, slots_.size() * 2), 0);
+    mask_ = slots_.size() - 1;
+    for (size_t id = 0; id < entries_.size(); ++id) Place(id);
+  }
+
+  std::vector<const Table*> tables_;
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> slots_;  // entry id + 1; 0 = empty
+  size_t mask_ = 0;
+};
+
+/// The columnar set operators' pass over child `child`'s rows, in order:
+/// a row equal to one in `exclude` (if given) is dropped, a repeat of a
+/// row already in `seen` adds its lineage to that row's output, and every
+/// other row is inserted into `seen` and appended to the output. A
+/// governor check runs every kSerialCheckRows rows, as on the row path.
+/// Entry ids in `seen` are output row indexes, so `seen` must start with
+/// exactly the output's rows.
+Status AppendFirstSeen(const Table& in, uint32_t child,
+                       const RowIdSet* exclude, RowIdSet* seen,
+                       bool capture_lineage, NodeResult* out) {
+  const std::vector<size_t> hashes = HashRows(in);
+  std::vector<size_t> kept;
+  for (size_t i = 0; i < in.num_rows(); ++i) {
+    if (i % kSerialCheckRows == 0) {
+      DVMS_RETURN_IF_ERROR(governor::CheckPoint());
+    }
+    if (exclude != nullptr &&
+        exclude->Find(child, i, hashes[i]) != RowIdSet::kAbsent) {
+      continue;
+    }
+    size_t id = seen->FindOrInsert(child, i, hashes[i]);
+    if (id == RowIdSet::kAbsent) {
+      kept.push_back(i);
+      if (capture_lineage) out->lineage.push_back({{child, i}});
+    } else if (capture_lineage) {
+      // Duplicates contribute lineage to the surviving row.
+      out->lineage[id].push_back({child, i});
+    }
+  }
+  out->table.AppendGather(in, kept);
   return Status::OK();
 }
 
@@ -656,22 +986,35 @@ Result<std::unique_ptr<NodeResult>> Executor::ExecImpl(
       const Table& in = out->children[0]->table;
       size_t morsels = MorselCount(in.num_rows(), cfg.grain);
       out->morsels_used = std::max<size_t>(1, morsels);
+      const bool vec = opts.vectorize && !in.IsRagged();
       std::vector<FilterTerm> terms;
-      const bool vec =
-          opts.vectorize && !in.IsRagged() &&
-          CollectFilterTerms(*node.predicate, in.num_columns(), &terms);
+      std::vector<ExprEvaluator> rest;
+      if (vec) {
+        std::vector<const Expr*> rest_exprs;
+        SplitFilter(*node.predicate, in.num_columns(), ctx, &terms,
+                    &rest_exprs);
+        for (const Expr* e : rest_exprs) rest.emplace_back(*e, ctx);
+      }
       std::vector<std::vector<size_t>> kept(morsels);
       DVMS_RETURN_IF_ERROR(ForEachMorsel(
           cfg, in.num_rows(), [&](const MorselRange& r) -> Status {
             std::vector<size_t>& k = kept[r.index];
             if (vec) {
-              // Term-major evaluation over the morsel's column runs.
+              // Term-major evaluation over the morsel's column runs, then
+              // the remaining conjuncts row by row on the survivors.
               std::vector<uint8_t> pass(r.end - r.begin, 1);
               for (const FilterTerm& t : terms) {
                 EvalFilterTermRange(in, t, r.begin, r.end, &pass);
               }
+              std::vector<ExprEvaluator> evals = rest;
               for (size_t i = r.begin; i < r.end; ++i) {
-                if (pass[i - r.begin]) k.push_back(i);
+                if (!pass[i - r.begin]) continue;
+                bool keep = true;
+                for (size_t c = 0; keep && c < evals.size(); ++c) {
+                  DVMS_ASSIGN_OR_RETURN(
+                      keep, evals[c].EvalPredicate(TableCells(in, i)));
+                }
+                if (keep) k.push_back(i);
               }
               return Status::OK();
             }
@@ -724,6 +1067,43 @@ Result<std::unique_ptr<NodeResult>> Executor::ExecImpl(
         }
         break;
       }
+      if (opts.vectorize && !in.IsRagged()) {
+        // Expressions: each morsel evaluates over its cells into typed
+        // output columns; the parts concatenate in morsel order.
+        std::vector<ExprEvaluator> prepared;
+        for (const auto& e : node.projections) prepared.emplace_back(*e, ctx);
+        std::vector<Table> parts(morsels);
+        DVMS_RETURN_IF_ERROR(ForEachMorsel(
+            cfg, in.num_rows(), [&](const MorselRange& r) -> Status {
+              std::vector<ExprEvaluator> evals = prepared;
+              std::vector<ColumnWriter> writers(evals.size());
+              for (size_t i = r.begin; i < r.end; ++i) {
+                for (size_t k = 0; k < evals.size(); ++k) {
+                  DVMS_ASSIGN_OR_RETURN(Value v,
+                                        evals[k].Eval(TableCells(in, i)));
+                  writers[k].Append(v);
+                }
+              }
+              std::vector<ColumnVec> cols;
+              for (ColumnWriter& w : writers) cols.push_back(w.Take());
+              Table& part = parts[r.index];
+              part = Table(node.OutputSchema());
+              DVMS_RETURN_IF_ERROR(
+                  part.InstallColumns(std::move(cols), r.end - r.begin));
+              return governor::ChargeMemory(
+                  ApproxRowsBytes(r.end - r.begin, node.projections.size()));
+            }));
+        out->table.Reserve(in.num_rows());
+        for (const Table& part : parts) {
+          out->table.AppendRange(part, 0, part.num_rows());
+        }
+        if (opts.capture_lineage) {
+          for (size_t i = 0; i < in.num_rows(); ++i) {
+            out->lineage.push_back({{0, i}});
+          }
+        }
+        break;
+      }
       std::vector<std::vector<Row>> built(morsels);
       DVMS_RETURN_IF_ERROR(ForEachMorsel(
           cfg, in.num_rows(), [&](const MorselRange& r) -> Status {
@@ -753,6 +1133,15 @@ Result<std::unique_ptr<NodeResult>> Executor::ExecImpl(
     case PlanKind::kJoin: {
       const Table& left = out->children[0]->table;
       const Table& right = out->children[1]->table;
+      // Columnar: matching pairs are collected as (left, right) row
+      // indexes and both sides' columns gathered once at the end.
+      const bool vec = opts.vectorize && !left.IsRagged() &&
+                       !right.IsRagged() &&
+                       left.num_columns() + right.num_columns() ==
+                           out->table.num_columns();
+      std::optional<ExprEvaluator> pred;
+      if (vec && node.predicate != nullptr) pred.emplace(*node.predicate, ctx);
+      std::vector<size_t> left_sel, right_sel;
       // The emit path is where a cross join blows up, so both governor
       // limits ride on it: a cooperative check every kSerialCheckRows
       // pairs examined, and a memory charge per batch of produced rows —
@@ -766,23 +1155,39 @@ Result<std::unique_ptr<NodeResult>> Executor::ExecImpl(
         if (++pairs_seen % kSerialCheckRows == 0) {
           DVMS_RETURN_IF_ERROR(governor::CheckPoint());
         }
-        Row combined = left.row(li);
-        const Row& r = right.row(ri);
-        combined.insert(combined.end(), r.begin(), r.end());
-        if (node.predicate != nullptr) {
-          DVMS_ASSIGN_OR_RETURN(bool keep,
-                                EvalPredicate(*node.predicate, combined, ctx));
-          if (!keep) return Status::OK();
+        Row combined;
+        if (vec) {
+          if (pred) {
+            DVMS_ASSIGN_OR_RETURN(
+                bool keep, pred->EvalPredicate(JoinCells(left, li, right, ri)));
+            if (!keep) return Status::OK();
+          }
+        } else {
+          combined = left.row(li);
+          const Row& r = right.row(ri);
+          combined.insert(combined.end(), r.begin(), r.end());
+          if (node.predicate != nullptr) {
+            DVMS_ASSIGN_OR_RETURN(
+                bool keep, EvalPredicate(*node.predicate, combined, ctx));
+            if (!keep) return Status::OK();
+          }
         }
         if (++rows_uncharged == kSerialCheckRows) {
           DVMS_RETURN_IF_ERROR(governor::ChargeMemory(
               ApproxRowsBytes(rows_uncharged, out_width)));
           rows_uncharged = 0;
         }
-        add_row(std::move(combined), {{0, li}, {1, ri}});
+        if (vec) {
+          left_sel.push_back(li);
+          right_sel.push_back(ri);
+        } else {
+          add_row(std::move(combined), {{0, li}, {1, ri}});
+        }
         return Status::OK();
       };
-      if (!node.equi_keys.empty()) {
+      if (!node.equi_keys.empty() && vec) {
+        DVMS_RETURN_IF_ERROR(ColumnarHashJoin(node, left, right, ctx, emit));
+      } else if (!node.equi_keys.empty()) {
         // Hash join: build on the right side.
         std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq> build;
         DVMS_RETURN_IF_ERROR(governor::ChargeMemory(ApproxRowsBytes(
@@ -826,6 +1231,22 @@ Result<std::unique_ptr<NodeResult>> Executor::ExecImpl(
         for (size_t li = 0; li < left.num_rows(); ++li) {
           for (size_t ri = 0; ri < right.num_rows(); ++ri) {
             DVMS_RETURN_IF_ERROR(emit(li, ri));
+          }
+        }
+      }
+      if (vec && !left_sel.empty()) {
+        std::vector<ColumnVec> cols(out->table.num_columns());
+        for (size_t c = 0; c < left.num_columns(); ++c) {
+          cols[c].AppendGather(left.col(c), left_sel);
+        }
+        for (size_t c = 0; c < right.num_columns(); ++c) {
+          cols[left.num_columns() + c].AppendGather(right.col(c), right_sel);
+        }
+        DVMS_RETURN_IF_ERROR(
+            out->table.InstallColumns(std::move(cols), left_sel.size()));
+        if (opts.capture_lineage) {
+          for (size_t k = 0; k < left_sel.size(); ++k) {
+            out->lineage.push_back({{0, left_sel[k]}, {1, right_sel[k]}});
           }
         }
       }
@@ -952,8 +1373,20 @@ Result<std::unique_ptr<NodeResult>> Executor::ExecImpl(
                   local.groups.size(), node.group_by.size() + num_aggs));
             }));
       } else {
+      // Expression keys or inputs: evaluated per row, on cells unless the
+      // operator runs the row path.
+      const bool on_cells = opts.vectorize && !in.IsRagged();
+      std::vector<const Expr*> key_exprs, arg_exprs;
+      for (const auto& e : node.group_by) key_exprs.push_back(e.get());
+      for (const AggSpec& spec : node.aggregates) {
+        arg_exprs.push_back(spec.count_star ? nullptr : spec.arg.get());
+      }
+      const InputExprs keys_prepared(key_exprs, in, on_cells, ctx);
+      const InputExprs args_prepared(arg_exprs, in, on_cells, ctx);
       DVMS_RETURN_IF_ERROR(ForEachMorsel(
           cfg, in.num_rows(), [&](const MorselRange& r) -> Status {
+            InputExprs keys = keys_prepared;
+            InputExprs args = args_prepared;
             MorselGroups& local = partials[r.index];
             if (global) {
               local.groups.push_back({{}, std::vector<AggState>(num_aggs), {}});
@@ -965,8 +1398,8 @@ Result<std::unique_ptr<NodeResult>> Executor::ExecImpl(
               } else {
                 Row key;
                 key.reserve(node.group_by.size());
-                for (const auto& e : node.group_by) {
-                  DVMS_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, in.row(i), ctx));
+                for (size_t k = 0; k < node.group_by.size(); ++k) {
+                  DVMS_ASSIGN_OR_RETURN(Value v, keys.Eval(k, i));
                   key.push_back(std::move(v));
                 }
                 auto it = local.index.find(key);
@@ -985,8 +1418,7 @@ Result<std::unique_ptr<NodeResult>> Executor::ExecImpl(
                 if (spec.count_star) {
                   UpdateAgg(&g.states[a], spec, Value::Null());
                 } else {
-                  DVMS_ASSIGN_OR_RETURN(Value v,
-                                        EvalExpr(*spec.arg, in.row(i), ctx));
+                  DVMS_ASSIGN_OR_RETURN(Value v, args.Eval(a, i));
                   UpdateAgg(&g.states[a], spec, v);
                 }
               }
@@ -1066,6 +1498,25 @@ Result<std::unique_ptr<NodeResult>> Executor::ExecImpl(
         }
         break;
       }
+      std::vector<const Table*> inputs;
+      bool vec = opts.vectorize;
+      for (const auto& child : out->children) {
+        inputs.push_back(&child->table);
+        vec = vec && !child->table.IsRagged();
+      }
+      if (vec) {
+        // First-seen dedup on cells; each child's survivors are gathered
+        // in one pass, children in order.
+        RowIdSet seen(inputs);
+        for (size_t c = 0; c < inputs.size(); ++c) {
+          DVMS_RETURN_IF_ERROR(
+              AppendFirstSeen(*inputs[c], static_cast<uint32_t>(c), nullptr,
+                              &seen, opts.capture_lineage, out.get()));
+          DVMS_RETURN_IF_ERROR(governor::ChargeMemory(ApproxRowsBytes(
+              inputs[c]->num_rows(), inputs[c]->schema().num_columns())));
+        }
+        break;
+      }
       KeyMap seen;
       for (size_t c = 0; c < out->children.size(); ++c) {
         const Table& in = out->children[c]->table;
@@ -1091,6 +1542,19 @@ Result<std::unique_ptr<NodeResult>> Executor::ExecImpl(
     case PlanKind::kMinus: {
       const Table& left = out->children[0]->table;
       const Table& right = out->children[1]->table;
+      if (opts.vectorize && !left.IsRagged() && !right.IsRagged()) {
+        DVMS_RETURN_IF_ERROR(governor::ChargeMemory(
+            ApproxRowsBytes(right.num_rows(), right.schema().num_columns())));
+        RowIdSet right_rows({&left, &right});
+        const std::vector<size_t> right_hashes = HashRows(right);
+        for (size_t i = 0; i < right.num_rows(); ++i) {
+          right_rows.FindOrInsert(1, i, right_hashes[i]);
+        }
+        RowIdSet seen({&left});
+        DVMS_RETURN_IF_ERROR(AppendFirstSeen(left, 0, &right_rows, &seen,
+                                             opts.capture_lineage, out.get()));
+        break;
+      }
       std::unordered_map<Row, bool, RowHash, RowEq> right_rows;
       DVMS_RETURN_IF_ERROR(governor::ChargeMemory(
           ApproxRowsBytes(right.num_rows(), right.schema().num_columns())));
@@ -1114,9 +1578,15 @@ Result<std::unique_ptr<NodeResult>> Executor::ExecImpl(
 
     case PlanKind::kDistinct: {
       const Table& in = out->children[0]->table;
-      KeyMap seen;
       DVMS_RETURN_IF_ERROR(governor::ChargeMemory(
           ApproxRowsBytes(in.num_rows(), in.schema().num_columns())));
+      if (opts.vectorize && !in.IsRagged()) {
+        RowIdSet seen({&in});
+        DVMS_RETURN_IF_ERROR(AppendFirstSeen(in, 0, nullptr, &seen,
+                                             opts.capture_lineage, out.get()));
+        break;
+      }
+      KeyMap seen;
       for (size_t i = 0; i < in.num_rows(); ++i) {
         if (i % kSerialCheckRows == 0) {
           DVMS_RETURN_IF_ERROR(governor::CheckPoint());
@@ -1169,14 +1639,19 @@ Result<std::unique_ptr<NodeResult>> Executor::ExecImpl(
         DVMS_RETURN_IF_ERROR(SortPermutation(cfg, n, less, &perm));
       } else {
         // Phase 1: morsel-parallel sort-key evaluation into disjoint slots.
+        std::vector<const Expr*> key_exprs;
+        for (const auto& e : node.order_exprs) key_exprs.push_back(e.get());
+        const InputExprs exprs_prepared(key_exprs, in,
+                                        opts.vectorize && !in.IsRagged(), ctx);
         std::vector<Row> keys(n);
         DVMS_RETURN_IF_ERROR(
             ForEachMorsel(cfg, n, [&](const MorselRange& r) -> Status {
+              InputExprs exprs = exprs_prepared;
               for (size_t i = r.begin; i < r.end; ++i) {
                 Row key;
-                key.reserve(node.order_exprs.size());
-                for (const auto& e : node.order_exprs) {
-                  DVMS_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, in.row(i), ctx));
+                key.reserve(key_exprs.size());
+                for (size_t k = 0; k < key_exprs.size(); ++k) {
+                  DVMS_ASSIGN_OR_RETURN(Value v, exprs.Eval(k, i));
                   key.push_back(std::move(v));
                 }
                 keys[i] = std::move(key);

@@ -66,11 +66,13 @@ struct ExecOptions {
   /// Per-operator timing + morsel accounting for EXPLAIN ANALYZE. Off by
   /// default: two steady_clock reads per operator are cheap but not free.
   bool analyze = false;
-  /// Columnar kernels for scan/filter/project/aggregate/sort: operate on
-  /// typed column runs (dictionary ids for strings) instead of per-row
-  /// Value dispatch. Bit-identical to the row-at-a-time paths — same
-  /// values, same order, same lineage — at every thread count; operators
-  /// whose expressions aren't vectorizable fall back per-operator.
+  /// Every operator reads typed columns (dictionary ids for strings) and
+  /// never builds the row view: comparison and IN filter terms run as
+  /// column kernels, other expressions through ExprEvaluator over the
+  /// cells, joins and set operations on row indexes. Bit-identical to the
+  /// row-at-a-time operators — same values, order, lineage and error
+  /// status — at every thread count. Ragged (legacy-built) inputs take
+  /// the row operators; false runs them everywhere, as the reference.
   bool vectorize = exec::VectorizeDefault();
 };
 

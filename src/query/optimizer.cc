@@ -151,17 +151,21 @@ Result<Table> CrossfilterOptimizer::Refresh(const std::string& view_name) {
     DVMS_ASSIGN_OR_RETURN(VersionedTable * selection,
                           catalog_->Get(view.filter_rel));
     ValueSet values;
-    for (const Row& row : selection->current().rows()) {
-      if (!row[0].is_null()) values.insert(row[0]);
+    const Table& selected = selection->current();
+    for (size_t i = 0; i < selected.num_rows(); ++i) {
+      Value v = selected.ValueAt(i, 0);
+      if (!v.is_null()) values.insert(std::move(v));
     }
     DVMS_ASSIGN_OR_RETURN(
         sums, cube->FilteredGroupSums(view.group_col, view.filter_col, values));
     // The scan-based plan produces no row for groups with no selected
     // facts; drop the cube's zero rows to match.
-    Table nonzero(sums.schema());
-    for (const Row& row : sums.rows()) {
-      if (row[1].double_value() != 0.0) nonzero.AppendUnchecked(row);
+    std::vector<size_t> nonzero_rows;
+    for (size_t i = 0; i < sums.num_rows(); ++i) {
+      if (sums.ValueAt(i, 1).double_value() != 0.0) nonzero_rows.push_back(i);
     }
+    Table nonzero(sums.schema());
+    nonzero.AppendGather(sums, nonzero_rows);
     sums = std::move(nonzero);
   }
 
@@ -175,13 +179,8 @@ Result<Table> CrossfilterOptimizer::Refresh(const std::string& view_name) {
     schema.AddColumn({view.group_out, ValueType::kNull});
   }
   Table out(schema);
-  for (const Row& row : sums.rows()) {
-    if (view.group_first) {
-      out.AppendUnchecked({row[0], row[1]});
-    } else {
-      out.AppendUnchecked({row[1], row[0]});
-    }
-  }
+  out.AppendProjected(sums, view.group_first ? std::vector<size_t>{0, 1}
+                                             : std::vector<size_t>{1, 0});
   ++hits_;
   return out;
 }

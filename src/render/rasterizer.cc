@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <unordered_map>
 #include <vector>
 
 #include "common/fault.h"
 #include "governor/governor.h"
 #include "obs/trace.h"
+#include "storage/dict.h"
 
 namespace dvms {
 
@@ -180,25 +182,52 @@ void DrawLine(PixelBuffer* buf, double x1, double y1, double x2, double y2,
 
 namespace {
 
-/// Reads an optional color column for a row; `fallback` when the column is
-/// absent or NULL.
-Result<RGBA> ColorOf(const Table& marks, size_t row, const char* column,
-                     RGBA fallback) {
-  auto idx = marks.schema().FindColumn(column);
-  if (!idx.has_value()) return fallback;
-  const Value& v = marks.row(row)[*idx];
-  if (v.is_null()) return fallback;
-  if (v.type() != ValueType::kString) {
-    return Status::TypeError(std::string(column) + " column must be a string");
+/// An optional color column ("fill", "stroke"), resolved once per frame.
+/// Each distinct dictionary id is parsed once; `fallback` stands in for
+/// an absent column and for NULL cells.
+class ColorColumn {
+ public:
+  ColorColumn(const Table& marks, const char* name, RGBA fallback)
+      : name_(name), fallback_(fallback) {
+    auto idx = marks.schema().FindColumn(name);
+    if (idx.has_value()) col_ = &marks.col(*idx);
   }
-  return ParseColor(v.string_value());
-}
 
-/// Reads a required numeric column; returns NaN for NULL.
-Result<double> NumOf(const Table& marks, size_t row, size_t col) {
-  const Value& v = marks.row(row)[col];
-  if (v.is_null()) return std::nan("");
-  return v.AsDouble();
+  Result<RGBA> At(size_t row) {
+    if (col_ == nullptr || col_->IsNull(row)) return fallback_;
+    if (col_->enc() == ColumnVec::Enc::kDict) {
+      uint32_t id = col_->dict_ids()[row];
+      auto it = parsed_.find(id);
+      if (it != parsed_.end()) return it->second;
+      DVMS_ASSIGN_OR_RETURN(RGBA color, ParseColor(strdict::Lookup(id)));
+      parsed_.emplace(id, color);
+      return color;
+    }
+    Value v = col_->Get(row);
+    if (v.type() != ValueType::kString) {
+      return Status::TypeError(std::string(name_) + " column must be a string");
+    }
+    return ParseColor(v.string_value());
+  }
+
+ private:
+  const char* name_;
+  RGBA fallback_;
+  const ColumnVec* col_ = nullptr;
+  std::unordered_map<uint32_t, RGBA> parsed_;
+};
+
+/// Reads a required numeric cell; returns NaN for NULL.
+Result<double> NumOf(const ColumnVec& col, size_t row) {
+  if (col.IsNull(row)) return std::nan("");
+  switch (col.enc()) {
+    case ColumnVec::Enc::kDouble:
+      return col.doubles()[row];
+    case ColumnVec::Enc::kInt64:
+      return static_cast<double>(col.ints()[row]);
+    default:
+      return col.Get(row).AsDouble();
+  }
 }
 
 constexpr RGBA kDefaultFill = {127, 127, 127, 255};  // gray
@@ -221,59 +250,66 @@ struct MarkOp {
 Status DecodeMarkOps(const Table& marks, MarkType type,
                      std::vector<MarkOp>* ops) {
   const Schema& schema = marks.schema();
+  auto column = [&](const char* name) -> Result<const ColumnVec*> {
+    DVMS_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(name));
+    return &marks.col(idx);
+  };
   switch (type) {
     case MarkType::kCircle: {
-      DVMS_ASSIGN_OR_RETURN(size_t cx, schema.IndexOf("center_x"));
-      DVMS_ASSIGN_OR_RETURN(size_t cy, schema.IndexOf("center_y"));
-      DVMS_ASSIGN_OR_RETURN(size_t r, schema.IndexOf("radius"));
+      DVMS_ASSIGN_OR_RETURN(const ColumnVec* cx, column("center_x"));
+      DVMS_ASSIGN_OR_RETURN(const ColumnVec* cy, column("center_y"));
+      DVMS_ASSIGN_OR_RETURN(const ColumnVec* r, column("radius"));
+      ColorColumn fills(marks, "fill", kDefaultFill);
+      ColorColumn strokes(marks, "stroke", kNoColor);
       for (size_t i = 0; i < marks.num_rows(); ++i) {
-        DVMS_ASSIGN_OR_RETURN(double x, NumOf(marks, i, cx));
-        DVMS_ASSIGN_OR_RETURN(double y, NumOf(marks, i, cy));
-        DVMS_ASSIGN_OR_RETURN(double radius, NumOf(marks, i, r));
+        DVMS_ASSIGN_OR_RETURN(double x, NumOf(*cx, i));
+        DVMS_ASSIGN_OR_RETURN(double y, NumOf(*cy, i));
+        DVMS_ASSIGN_OR_RETURN(double radius, NumOf(*r, i));
         if (std::isnan(x) || std::isnan(y) || std::isnan(radius)) continue;
-        DVMS_ASSIGN_OR_RETURN(RGBA fill, ColorOf(marks, i, "fill", kDefaultFill));
-        DVMS_ASSIGN_OR_RETURN(RGBA stroke, ColorOf(marks, i, "stroke", kNoColor));
+        DVMS_ASSIGN_OR_RETURN(RGBA fill, fills.At(i));
+        DVMS_ASSIGN_OR_RETURN(RGBA stroke, strokes.At(i));
         ops->push_back({type, x, y, radius, 0.0, fill, stroke,
                         y - radius - 2, y + radius + 2});
       }
       return Status::OK();
     }
     case MarkType::kRect: {
-      DVMS_ASSIGN_OR_RETURN(size_t xc, schema.IndexOf("x"));
-      DVMS_ASSIGN_OR_RETURN(size_t yc, schema.IndexOf("y"));
-      DVMS_ASSIGN_OR_RETURN(size_t wc, schema.IndexOf("width"));
-      DVMS_ASSIGN_OR_RETURN(size_t hc, schema.IndexOf("height"));
+      DVMS_ASSIGN_OR_RETURN(const ColumnVec* xc, column("x"));
+      DVMS_ASSIGN_OR_RETURN(const ColumnVec* yc, column("y"));
+      DVMS_ASSIGN_OR_RETURN(const ColumnVec* wc, column("width"));
+      DVMS_ASSIGN_OR_RETURN(const ColumnVec* hc, column("height"));
+      ColorColumn fills(marks, "fill", kDefaultFill);
+      ColorColumn strokes(marks, "stroke", kNoColor);
       for (size_t i = 0; i < marks.num_rows(); ++i) {
-        DVMS_ASSIGN_OR_RETURN(double x, NumOf(marks, i, xc));
-        DVMS_ASSIGN_OR_RETURN(double y, NumOf(marks, i, yc));
-        DVMS_ASSIGN_OR_RETURN(double w, NumOf(marks, i, wc));
-        DVMS_ASSIGN_OR_RETURN(double h, NumOf(marks, i, hc));
+        DVMS_ASSIGN_OR_RETURN(double x, NumOf(*xc, i));
+        DVMS_ASSIGN_OR_RETURN(double y, NumOf(*yc, i));
+        DVMS_ASSIGN_OR_RETURN(double w, NumOf(*wc, i));
+        DVMS_ASSIGN_OR_RETURN(double h, NumOf(*hc, i));
         if (std::isnan(x) || std::isnan(y) || std::isnan(w) || std::isnan(h)) {
           continue;
         }
-        DVMS_ASSIGN_OR_RETURN(RGBA fill, ColorOf(marks, i, "fill", kDefaultFill));
-        DVMS_ASSIGN_OR_RETURN(RGBA stroke, ColorOf(marks, i, "stroke", kNoColor));
+        DVMS_ASSIGN_OR_RETURN(RGBA fill, fills.At(i));
+        DVMS_ASSIGN_OR_RETURN(RGBA stroke, strokes.At(i));
         ops->push_back({type, x, y, w, h, fill, stroke,
                         std::min(y, y + h) - 2, std::max(y, y + h) + 2});
       }
       return Status::OK();
     }
     case MarkType::kLine: {
-      DVMS_ASSIGN_OR_RETURN(size_t x1, schema.IndexOf("x1"));
-      DVMS_ASSIGN_OR_RETURN(size_t y1, schema.IndexOf("y1"));
-      DVMS_ASSIGN_OR_RETURN(size_t x2, schema.IndexOf("x2"));
-      DVMS_ASSIGN_OR_RETURN(size_t y2, schema.IndexOf("y2"));
+      DVMS_ASSIGN_OR_RETURN(const ColumnVec* x1, column("x1"));
+      DVMS_ASSIGN_OR_RETURN(const ColumnVec* y1, column("y1"));
+      DVMS_ASSIGN_OR_RETURN(const ColumnVec* x2, column("x2"));
+      DVMS_ASSIGN_OR_RETURN(const ColumnVec* y2, column("y2"));
+      ColorColumn strokes(marks, "stroke", RGBA{0, 0, 0, 255});
       for (size_t i = 0; i < marks.num_rows(); ++i) {
-        DVMS_ASSIGN_OR_RETURN(double a, NumOf(marks, i, x1));
-        DVMS_ASSIGN_OR_RETURN(double b, NumOf(marks, i, y1));
-        DVMS_ASSIGN_OR_RETURN(double c, NumOf(marks, i, x2));
-        DVMS_ASSIGN_OR_RETURN(double d, NumOf(marks, i, y2));
+        DVMS_ASSIGN_OR_RETURN(double a, NumOf(*x1, i));
+        DVMS_ASSIGN_OR_RETURN(double b, NumOf(*y1, i));
+        DVMS_ASSIGN_OR_RETURN(double c, NumOf(*x2, i));
+        DVMS_ASSIGN_OR_RETURN(double d, NumOf(*y2, i));
         if (std::isnan(a) || std::isnan(b) || std::isnan(c) || std::isnan(d)) {
           continue;
         }
-        DVMS_ASSIGN_OR_RETURN(RGBA stroke,
-                              ColorOf(marks, i, "stroke",
-                                      RGBA{0, 0, 0, 255}));
+        DVMS_ASSIGN_OR_RETURN(RGBA stroke, strokes.At(i));
         ops->push_back({type, a, b, c, d, kNoColor, stroke,
                         std::min(b, d) - 2, std::max(b, d) + 2});
       }

@@ -7,12 +7,6 @@
 
 namespace dvms {
 
-namespace {
-
-constexpr size_t kNoisePrime = 0x9e3779b97f4a7c15ULL;
-
-}  // namespace
-
 Value ColumnVec::Get(size_t i) const {
   assert(i < size_);
   if (IsNull(i)) return Value::Null();
@@ -369,31 +363,22 @@ bool ColumnVec::CellEquals(size_t i, const ColumnVec& other, size_t j) const {
 }
 
 size_t ColumnVec::HashCell(size_t i) const {
-  if (IsNull(i)) return kNoisePrime;
+  if (IsNull(i)) return Value::Null().Hash();
   switch (enc_) {
     case Enc::kInt64:
-      return std::hash<int64_t>()(i64_[i]);
-    case Enc::kDouble: {
-      double d = f64_[i];
-      if (d == 0.0) d = 0.0;
-      if (d != d) return 0x7ff8dead5eedf00dULL;
-      // Int-valued doubles must hash like the int cell they Equal when a
-      // sibling column mixes encodings; hashing the double image of both
-      // (as Value::Hash does) keeps that consistent — but int64 cells hash
-      // their exact value above, so only use this hash within homogeneous
-      // columns (vectorized group-bys never mix cells across columns).
-      return std::hash<double>()(d);
-    }
+      return HashNumeric(static_cast<double>(i64_[i]));
+    case Enc::kDouble:
+      return HashNumeric(f64_[i]);
     case Enc::kBool:
-      return std::hash<int64_t>()(b8_[i] != 0 ? 1 : 0);
+      return HashNumeric(b8_[i] != 0 ? 1.0 : 0.0);
     case Enc::kDict:
-      return std::hash<uint32_t>()(ids_[i]);
+      return std::hash<std::string>()(strdict::Lookup(ids_[i]));
     case Enc::kVariant:
       return var_[i].Hash();
     case Enc::kEmpty:
       break;
   }
-  return kNoisePrime;
+  return Value::Null().Hash();
 }
 
 }  // namespace dvms

@@ -79,10 +79,10 @@ class ColumnVec {
 
   // ---- Cell operations, exactly mirroring Value semantics ----
   // CompareCells mirrors Value::Compare (total order, NaN-last, exact
-  // int64/double), CellEquals mirrors Value::Equals, HashCell is any hash
-  // consistent with CellEquals (NOT necessarily Value::Hash — dict cells
-  // hash their id, which is cheaper and equality-consistent because the
-  // dictionary dedups).
+  // int64/double), CellEquals mirrors Value::Equals, and HashCell equals
+  // Value::Hash of the cell without materializing it — so hashes agree
+  // across encodings, as set operations and joins need when they compare
+  // cells of different columns.
   int CompareCells(size_t i, const ColumnVec& other, size_t j) const;
   bool CellEquals(size_t i, const ColumnVec& other, size_t j) const;
   size_t HashCell(size_t i) const;

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <numeric>
 
+#include "obs/trace.h"
+
 namespace dvms {
 
 Table::Table(Schema schema) : schema_(std::move(schema)) {
@@ -79,6 +81,7 @@ Table::RowCache* Table::EnsureCache() const {
 }
 
 std::vector<Row> Table::MaterializeRows() const {
+  obs::Count("table.row_views");
   std::vector<Row> rows;
   rows.reserve(num_rows_);
   for (size_t r = 0; r < num_rows_; ++r) {

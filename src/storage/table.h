@@ -19,15 +19,17 @@ using RowId = size_t;
 
 /// An in-memory columnar relation: one typed ColumnVec per column (with
 /// dictionary-interned strings and validity bitmaps), plus a lazily
-/// materialized row view for code that still thinks in rows. Tables are
-/// value types; VersionedTable layers snapshot semantics on top via shared
-/// immutable versions.
+/// materialized row view. Tables are value types; VersionedTable layers
+/// snapshot semantics on top via shared immutable versions.
 ///
-/// The row view (`rows()` / `row(i)`) is a cache built from the columns on
-/// first use and dropped on mutation. Materialization is thread-safe on
-/// shared `const Table`s (snapshot readers), so legacy row-oriented code
-/// keeps working unchanged; vectorized code reads columns directly via
-/// `col(c)` and never pays for the view.
+/// The event-to-pixels path (the vectorized executor, the rasterizer, the
+/// crossfilter optimizer, DELETE) reads columns via `col(c)` / `ValueAt`.
+/// The row view (`rows()` / `row(i)`) serves the row operators, kept as
+/// the executor's reference, and consumers not yet moved to columns
+/// (provenance, table UDFs, session event polling). It is a cache built
+/// from the columns on first use, counted in the `table.row_views`
+/// counter, and dropped on mutation; materialization is thread-safe on
+/// shared `const Table`s (snapshot readers).
 ///
 /// Rows whose arity differs from the column count (legacy "ragged" tables
 /// built with AppendUnchecked) are preserved exactly: per-row widths are

@@ -2,8 +2,9 @@
 // row->columnar->row property round-trip, ragged-table preservation,
 // multiset SameContents, the columnar snapshot codec (both directions plus
 // row-store-era compatibility), and the vectorized-vs-row executor
-// differential — bit-identical tables, pixels, and lineage at 1 and 4
-// threads, including a full corpus replay through both paths.
+// differential — bit-identical tables, pixels, lineage and error statuses
+// at 1 and 4 threads, including full corpus and Figure 2 replays through
+// both paths — and a check that Figure 1 and 2 drags build no row view.
 
 #include <algorithm>
 #include <cmath>
@@ -23,6 +24,7 @@
 #include "common/thread_pool.h"
 #include "core/dvms.h"
 #include "durability/codec.h"
+#include "obs/trace.h"
 #include "parser/parser.h"
 #include "parser/planner.h"
 #include "query/binder.h"
@@ -31,6 +33,7 @@
 #include "storage/column.h"
 #include "storage/dict.h"
 #include "storage/table.h"
+#include "figure_programs.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -441,6 +444,52 @@ class VectorizedExecutorTest : public ::testing::Test {
                                 Value::Double(rng.Uniform(0, 50)), revenue})
                       .ok());
     }
+    // Relations for IN probes, joins and set operations: NULLs in an IN
+    // set, an empty relation, doubles probed by int needles, -0.0/0.0 and
+    // NaN beside ints, duplicate and NULL join keys.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    AddTable("picked", {{"id", ValueType::kInt64}},
+             {{Value::Int(3)}, {Value::Null()}, {Value::Int(1500)},
+              {Value::Int(2999)}, {Value::Int(3)}, {Value::Int(77)}});
+    AddTable("nothing", {{"id", ValueType::kInt64}}, {});
+    AddTable("years_d", {{"v", ValueType::kDouble}},
+             {{Value::Double(1993.0)}, {Value::Double(1995.0)},
+              {Value::Double(1996.5)}, {Value::Double(nan)}});
+    AddTable("regions_sel", {{"region", ValueType::kString}},
+             {{Value::String("east")}, {Value::Null()},
+              {Value::String("nowhere")}});
+    AddTable("one", {{"k", ValueType::kInt64}}, {{Value::Int(1)}});
+    AddTable("region_dim",
+             {{"region", ValueType::kString}, {"idx", ValueType::kInt64}},
+             {{Value::String("west"), Value::Int(0)},
+              {Value::String("east"), Value::Int(1)},
+              {Value::String("east"), Value::Int(2)},
+              {Value::Null(), Value::Int(3)},
+              {Value::String("south"), Value::Int(4)}});
+    AddTable("tags", {{"id", ValueType::kInt64}, {"tag", ValueType::kString}},
+             {{Value::Int(10), Value::String("a")},
+              {Value::Int(2000), Value::String("b")},
+              {Value::Null(), Value::String("c")},
+              {Value::Int(10), Value::String("d")}});
+    AddTable("ints", {{"v", ValueType::kInt64}},
+             {{Value::Int(0)}, {Value::Int(1)}, {Value::Int(2)},
+              {Value::Int(1)}, {Value::Null()}, {Value::Int(7)}});
+    AddTable("dbls", {{"v", ValueType::kDouble}},
+             {{Value::Double(-0.0)}, {Value::Double(0.0)},
+              {Value::Double(1.0)}, {Value::Double(nan)},
+              {Value::Double(nan)}, {Value::Double(2.5)}, {Value::Null()}});
+    // One column holding ints and doubles: a per-cell Value column.
+    AddTable("mixed", {{"v", ValueType::kDouble}},
+             {{Value::Int(2)}, {Value::Double(2.0)}, {Value::Double(nan)},
+              {Value::Int(7)}, {Value::Double(-0.0)}, {Value::Int(0)}});
+  }
+
+  void AddTable(const std::string& name, std::vector<Column> cols,
+                const std::vector<Row>& rows) {
+    VersionedTable* t =
+        catalog_.CreateTable(name, Schema(std::move(cols)), RelationKind::kBase)
+            .value();
+    for (const Row& row : rows) ASSERT_TRUE(t->Append(row).ok());
   }
 
   Result<std::unique_ptr<NodeResult>> RunSql(const std::string& sql,
@@ -463,21 +512,62 @@ class VectorizedExecutorTest : public ::testing::Test {
     return exec.Execute(*plan, opts);
   }
 
+  // Every operator's table and lineage, down to the scans, must match the
+  // serial row path bit for bit, vectorized or not, at 1 and 4 threads.
   void ExpectDifferentialMatch(const std::string& sql) {
     SCOPED_TRACE(sql);
-    auto reference = RunSql(sql, /*vectorize=*/false, 1, nullptr);
+    auto reference = RunSql(sql, /*vectorize=*/false, 1, nullptr,
+                            /*capture_lineage=*/true);
     ASSERT_TRUE(reference.ok()) << reference.status().message();
     for (size_t threads : {size_t{1}, size_t{4}}) {
       std::unique_ptr<ThreadPool> pool;
       if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
       for (bool vec : {false, true}) {
         if (threads == 1 && !vec) continue;  // that is the reference itself
-        auto got = RunSql(sql, vec, threads, pool.get());
+        SCOPED_TRACE("vectorize=" + std::to_string(vec) +
+                     " threads=" + std::to_string(threads));
+        auto got = RunSql(sql, vec, threads, pool.get(),
+                          /*capture_lineage=*/true);
         ASSERT_TRUE(got.ok()) << got.status().message();
-        EXPECT_TRUE(TablesBitIdentical(reference.value()->table,
-                                       got.value()->table))
+        ExpectResultTreesIdentical(*reference.value(), *got.value());
+      }
+    }
+  }
+
+  // The query fails, and every path fails with the serial row path's
+  // status: the same code and message, so the same first failing row.
+  void ExpectSameFailure(const std::string& sql) {
+    SCOPED_TRACE(sql);
+    auto reference = RunSql(sql, /*vectorize=*/false, 1, nullptr);
+    ASSERT_FALSE(reference.ok());
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+      for (bool vec : {false, true}) {
+        auto got = RunSql(sql, vec, threads, pool.get());
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.status().code(), reference.status().code());
+        EXPECT_EQ(got.status().message(), reference.status().message())
             << "vectorize=" << vec << " threads=" << threads;
       }
+    }
+  }
+
+  static void ExpectResultTreesIdentical(const NodeResult& a,
+                                         const NodeResult& b) {
+    EXPECT_TRUE(TablesBitIdentical(a.table, b.table))
+        << PlanKindToString(a.node->kind);
+    ASSERT_EQ(a.lineage.size(), b.lineage.size());
+    for (size_t i = 0; i < a.lineage.size(); ++i) {
+      ASSERT_EQ(a.lineage[i].size(), b.lineage[i].size()) << "row " << i;
+      for (size_t j = 0; j < a.lineage[i].size(); ++j) {
+        EXPECT_EQ(a.lineage[i][j].child, b.lineage[i][j].child);
+        EXPECT_EQ(a.lineage[i][j].row, b.lineage[i][j].row);
+      }
+    }
+    ASSERT_EQ(a.children.size(), b.children.size());
+    for (size_t i = 0; i < a.children.size(); ++i) {
+      ExpectResultTreesIdentical(*a.children[i], *b.children[i]);
     }
   }
 
@@ -540,37 +630,117 @@ TEST_F(VectorizedExecutorTest, SetOperationsAndDistinct) {
 }
 
 TEST_F(VectorizedExecutorTest, LineageIdenticalAcrossPaths) {
-  const std::string sql =
+  ExpectDifferentialMatch(
       "SELECT region, SUM(revenue) AS s FROM Sales WHERE price < 25 "
-      "GROUP BY region";
-  auto reference = RunSql(sql, /*vectorize=*/false, 1, nullptr,
-                          /*capture_lineage=*/true);
-  ASSERT_TRUE(reference.ok()) << reference.status().message();
-  std::function<void(const NodeResult&, const NodeResult&)> compare =
-      [&](const NodeResult& a, const NodeResult& b) {
-        EXPECT_TRUE(TablesBitIdentical(a.table, b.table));
-        ASSERT_EQ(a.lineage.size(), b.lineage.size());
-        for (size_t i = 0; i < a.lineage.size(); ++i) {
-          ASSERT_EQ(a.lineage[i].size(), b.lineage[i].size()) << "row " << i;
-          for (size_t j = 0; j < a.lineage[i].size(); ++j) {
-            EXPECT_EQ(a.lineage[i][j].child, b.lineage[i][j].child);
-            EXPECT_EQ(a.lineage[i][j].row, b.lineage[i][j].row);
-          }
-        }
-        ASSERT_EQ(a.children.size(), b.children.size());
-        for (size_t i = 0; i < a.children.size(); ++i) {
-          compare(*a.children[i], *b.children[i]);
-        }
-      };
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    auto vec = RunSql(sql, /*vectorize=*/true, threads, pool.get(),
-                      /*capture_lineage=*/true);
-    ASSERT_TRUE(vec.ok()) << vec.status().message();
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    compare(*reference.value(), *vec.value());
-  }
+      "GROUP BY region");
+}
+
+TEST_F(VectorizedExecutorTest, InAndNotInProbesTypedCells) {
+  // Int needles, NULLs inside the IN relation.
+  ExpectDifferentialMatch(
+      "SELECT productId FROM Sales WHERE productId IN picked");
+  ExpectDifferentialMatch(
+      "SELECT productId FROM Sales WHERE productId NOT IN picked");
+  // An empty IN relation.
+  ExpectDifferentialMatch("SELECT productId FROM Sales WHERE year IN nothing");
+  ExpectDifferentialMatch(
+      "SELECT productId FROM Sales WHERE year NOT IN nothing");
+  // Int needles against a double set (1993 IN {1993.0, ...}).
+  ExpectDifferentialMatch(
+      "SELECT productId, year FROM Sales WHERE year IN years_d");
+  ExpectDifferentialMatch(
+      "SELECT productId FROM Sales WHERE year NOT IN years_d");
+  // NULL and NaN needles: NULL is false for IN and NOT IN alike.
+  ExpectDifferentialMatch(
+      "SELECT productId FROM Sales WHERE revenue NOT IN years_d");
+  ExpectDifferentialMatch("SELECT productId FROM Sales WHERE revenue IN dbls");
+  // Dictionary needles, and IN beside comparisons on either side.
+  ExpectDifferentialMatch(
+      "SELECT productId FROM Sales WHERE region IN regions_sel");
+  ExpectDifferentialMatch(
+      "SELECT productId FROM Sales WHERE region NOT IN regions_sel "
+      "AND price < 20");
+  ExpectDifferentialMatch(
+      "SELECT productId FROM Sales WHERE price < 20 AND year IN years_d");
+}
+
+TEST_F(VectorizedExecutorTest, ExpressionsAndUdfsWithNulls) {
+  ExpectDifferentialMatch(
+      "SELECT 3 AS radius, 'gray' AS fill, "
+      "linear_scale(revenue, 0, 100, 0, 400) AS cx, "
+      "linear_scale(price, 0, 50, 0, 400) AS cy, productId FROM Sales");
+  ExpectDifferentialMatch(
+      "SELECT productId FROM Sales "
+      "WHERE in_rectangle(revenue, price, -20, 5, 60, 30)");
+  ExpectDifferentialMatch(
+      "SELECT productId FROM Sales "
+      "WHERE price > 10 AND in_rectangle(revenue, price, 60, 30, -20, 5)");
+  ExpectDifferentialMatch(
+      "SELECT productId, -revenue AS neg, revenue + 1 AS inc FROM Sales "
+      "WHERE NOT (price < 10) OR region = 'east'");
+  ExpectDifferentialMatch(
+      "SELECT productId FROM Sales WHERE productId IN picked OR price < 1");
+  // Expression aggregate inputs and sort keys.
+  ExpectDifferentialMatch(
+      "SELECT region, SUM(price * 2) AS s, "
+      "MAX(linear_scale(revenue, 0, 100, 0, 1)) AS m FROM Sales "
+      "GROUP BY region");
+  ExpectDifferentialMatch(
+      "SELECT productId, revenue FROM Sales ORDER BY 0 - revenue, productId");
+}
+
+TEST_F(VectorizedExecutorTest, UdfErrorMidTableKeepsTheRowPathStatus) {
+  // log_scale fails once its argument reaches 0, at productId 2000 — past
+  // the first morsels, so a later morsel's error must not win.
+  ExpectSameFailure(
+      "SELECT log_scale(2000 - productId, 1, 100, 0, 1) AS v FROM Sales");
+  ExpectSameFailure(
+      "SELECT productId FROM Sales "
+      "WHERE log_scale(2000 - productId, 1, 100, 0, 1) > 0 "
+      "AND productId < 1500");
+  // Short-circuit: rows the earlier conjunct rejects never reach the UDF.
+  ExpectDifferentialMatch(
+      "SELECT productId FROM Sales WHERE productId < 1500 "
+      "AND log_scale(2000 - productId, 1, 100, 0, 1) > 0");
+}
+
+TEST_F(VectorizedExecutorTest, CrossAndHashJoins) {
+  // 1xN and 0xN cross joins.
+  ExpectDifferentialMatch(
+      "SELECT o.k, s.productId, s.region FROM one AS o, Sales AS s");
+  ExpectDifferentialMatch(
+      "SELECT n.id, s.productId FROM nothing AS n, Sales AS s");
+  // Hash joins on string keys (duplicate and NULL keys on the build side)
+  // and int keys, plus int keys probing a double column.
+  ExpectDifferentialMatch(
+      "SELECT s.productId, d.idx FROM Sales AS s, region_dim AS d "
+      "WHERE s.region = d.region");
+  ExpectDifferentialMatch(
+      "SELECT s.productId, t.tag FROM Sales AS s, tags AS t "
+      "WHERE s.productId = t.id");
+  ExpectDifferentialMatch(
+      "SELECT s.productId, y.v FROM Sales AS s, years_d AS y "
+      "WHERE s.year = y.v");
+  // A key expression rather than a plain column.
+  ExpectDifferentialMatch(
+      "SELECT s.productId, t.tag FROM Sales AS s, tags AS t "
+      "WHERE s.productId + 0 = t.id");
+}
+
+TEST_F(VectorizedExecutorTest, SetOperationsAcrossEncodings) {
+  // Cross-child duplicates, NaN, -0.0 vs 0.0 and int vs double columns.
+  ExpectDifferentialMatch("SELECT v FROM ints UNION SELECT v FROM dbls");
+  ExpectDifferentialMatch("SELECT v FROM dbls UNION SELECT v FROM ints");
+  ExpectDifferentialMatch("SELECT v FROM mixed UNION SELECT v FROM dbls");
+  ExpectDifferentialMatch("SELECT DISTINCT v FROM dbls");
+  ExpectDifferentialMatch("SELECT DISTINCT v FROM mixed");
+  ExpectDifferentialMatch("SELECT v FROM ints MINUS SELECT v FROM dbls");
+  ExpectDifferentialMatch("SELECT v FROM dbls MINUS SELECT v FROM mixed");
+  ExpectDifferentialMatch("SELECT v FROM mixed MINUS SELECT v FROM ints");
+  ExpectDifferentialMatch(
+      "SELECT region, year FROM Sales WHERE price < 10 "
+      "UNION SELECT region, year FROM Sales WHERE price > 40");
+  ExpectDifferentialMatch("SELECT DISTINCT revenue FROM Sales");
 }
 
 // ---- Engine-level differential: corpus replay through both paths ---------
@@ -663,6 +833,83 @@ TEST(ColumnarEngineDifferentialTest, CorpusReplayMatchesRowPath) {
     }
   }
   EXPECT_GE(loaded, 5u);
+}
+
+ReplayResult ReplayFig2(size_t threads, bool vectorize) {
+  ScopedVectorizeDefault guard(vectorize);
+  Dvms::Options options;
+  options.num_threads = threads;
+  std::unique_ptr<Dvms> engine = MakeFig2Engine(2000, options);
+  ReplayResult out;
+  if (engine == nullptr) return out;
+  out.loaded = true;
+  Rng rng(5);
+  int64_t t = 1;
+  for (int d = 0; d < 2; ++d) {
+    for (const InputEvent& e : SeededFig2Drag(&rng, &t)) {
+      EXPECT_TRUE(engine->PushEvent(e).ok());
+    }
+  }
+  out.fingerprint = Fingerprint(*engine);
+  out.pixels = engine->pixels();
+  return out;
+}
+
+TEST(ColumnarEngineDifferentialTest, Fig2ReplayAt2000PointsMatchesRowPath) {
+  // The corpus replay loads three points; this drives the Figure 2
+  // program over 2,000 with two seeded drags, so every morsel-parallel
+  // operator, the UNION dedup and the rasterizer see real volume.
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ReplayResult row_path = ReplayFig2(threads, /*vectorize=*/false);
+    ReplayResult vec_path = ReplayFig2(threads, /*vectorize=*/true);
+    ASSERT_TRUE(row_path.loaded && vec_path.loaded);
+    EXPECT_EQ(vec_path.fingerprint, row_path.fingerprint);
+    EXPECT_TRUE(PixelsBitIdentical(vec_path.pixels, row_path.pixels));
+  }
+}
+
+// ---- No row view on the event-to-pixels path ------------------------------
+
+uint64_t RowViewsBuilt() {
+  for (const obs::MetricRow& m : obs::SnapshotMetrics()) {
+    if (m.name == "table.row_views") return m.count;
+  }
+  return 0;
+}
+
+TEST(RowViewTest, FigureDragsBuildNoRowView) {
+  struct TracingOff {
+    ~TracingOff() { obs::SetEnabled(false); }
+  } tracing_off;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (int figure : {2, 1}) {
+      SCOPED_TRACE("figure " + std::to_string(figure) +
+                   " threads=" + std::to_string(threads));
+      Dvms::Options options;
+      options.num_threads = threads;
+      options.trace = true;
+      std::unique_ptr<Dvms> engine = figure == 2
+                                         ? MakeFig2Engine(2000, options)
+                                         : MakeFig1Engine(5000, options);
+      ASSERT_NE(engine, nullptr);
+      // The counter is live: building a row view moves it.
+      uint64_t before = RowViewsBuilt();
+      Table probe(Schema({{"v", ValueType::kInt64}}), {{Value::Int(1)}});
+      ASSERT_EQ(probe.rows().size(), 1u);
+      ASSERT_EQ(RowViewsBuilt(), before + 1);
+
+      Rng rng(11);
+      int64_t t = 1;
+      std::vector<InputEvent> drag = figure == 2 ? SeededFig2Drag(&rng, &t)
+                                                 : SeededFig1Drag(&rng, &t);
+      before = RowViewsBuilt();
+      for (const InputEvent& e : drag) {
+        ASSERT_TRUE(engine->PushEvent(e).ok());
+      }
+      EXPECT_EQ(RowViewsBuilt(), before);
+    }
+  }
 }
 
 // ---- Recovery from a row-store-era snapshot + WAL ------------------------
